@@ -13,8 +13,6 @@ from .algebra import (
     CuntzMonomial,
     RawWord,
     ZERO_ELEMENT,
-    add,
-    adjoint,
     canonical_form,
     coefficient_extract,
     equals,
@@ -22,7 +20,6 @@ from .algebra import (
     from_monomial,
     generator,
     monomial,
-    mul,
     raw_word,
     reduce_word,
     unit,
@@ -41,13 +38,9 @@ from .bialgebra import (
     lift_left,
     lift_right,
     phi,
-    tensor_adjoint,
-    tensor_equals,
-    tensor_mul,
 )
 from .classify import (
     Classification,
-    ComponentPredicate,
     Decomposition,
     check_biideal_on_generators,
     classify_component_set,
@@ -69,7 +62,6 @@ from .monoids import (
     NATURALS,
     NATURALS_MONOID,
     FreeMonoid,
-    MonoidSpec,
     NaturalsMonoid,
     PowerSubmonoid,
     PrimeSet,
@@ -77,14 +69,11 @@ from .monoids import (
     SubsetWindow,
     complement_duality_check,
     divisor_pairs,
-    factor_pairs,
     is_factorial,
     is_ideal,
     is_prime,
     is_prime_subset,
     is_subsemigroup,
-    lattice_join,
-    lattice_meet,
     prime_factorize,
     submonoid_member,
     subset_window,

@@ -15,12 +15,12 @@ independent, and every monomial expands to the common nu-length via
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import product, repeat
 from typing import Iterable, Iterator, NamedTuple
 
 from . import mutations
 from .errors import InputError
-from .scalars import ONE, Scalar
+from .scalars import ONE, ZERO, Scalar
 
 
 class CuntzMonomial(NamedTuple):
@@ -81,55 +81,96 @@ def raw_word(n: int, letters: Iterable[tuple[int, bool]]) -> RawWord:
     return RawWord(n, letters)
 
 
-class AlgebraElement:
-    """Finitely supported map from monomials to nonzero scalars.
+def _mono_mul(a: CuntzMonomial, b: CuntzMonomial) -> CuntzMonomial | None:
+    """(s_mu s_nu^*)(s_alpha s_beta^*) or None when the product is zero."""
+    if a.n != b.n:
+        return None
+    nu, alpha = a.nu, b.mu
+    if len(alpha) >= len(nu):
+        if alpha[: len(nu)] != nu:
+            return None
+        return CuntzMonomial(a.n, a.mu + alpha[len(nu):], b.nu)
+    if nu[: len(alpha)] != alpha:
+        return None
+    return CuntzMonomial(a.n, a.mu, b.nu + nu[len(alpha):])
 
-    Values are immutable; operators build new elements.  ``==`` compares
-    the stored term maps; use :meth:`equals` for equality in the algebra
-    (e.g. ``I_2`` versus ``s_1 s_1^* + s_2 s_2^*``).
+
+def _accumulate(data: dict, pairs) -> dict:
+    """Add each ``(key, coeff)`` into ``data``, dropping zero totals; return ``data``."""
+    for key, coeff in pairs:
+        acc = data.get(key)
+        if acc is not None:
+            coeff = acc + coeff
+        if coeff.is_zero():
+            data.pop(key, None)
+        else:
+            data[key] = coeff
+    return data
+
+
+class LinearCombination:
+    """Finitely supported map from monomial keys to nonzero scalars.
+
+    The one sparse core behind algebra elements and their tensor powers.
+    By default a key is a tuple of ``_width`` monomials, one per leg;
+    `AlgebraElement` is the width-1 case keyed by the bare monomial and
+    overrides the key hooks `_check_key`, `_legs`, `_adjoint_key` and
+    `_key_mul`.  Values are immutable; operators build new values of the
+    same class.  ``==`` compares the stored term maps; use :meth:`equals`
+    for equality in the algebra (e.g. ``I_2`` versus
+    ``s_1 s_1^* + s_2 s_2^*``).
     """
 
     __slots__ = ("_terms",)
+    _width: int
 
     def __init__(self, terms=()):
-        data: dict[CuntzMonomial, Scalar] = {}
         items = terms.items() if hasattr(terms, "items") else terms
-        for mono, coeff in items:
-            if not isinstance(mono, CuntzMonomial):
-                raise TypeError(f"expected CuntzMonomial key, got {mono!r}")
-            coeff = Scalar.coerce(coeff)
-            acc = data.get(mono)
-            coeff = coeff if acc is None else acc + coeff
-            if coeff.is_zero():
-                data.pop(mono, None)
-            else:
-                data[mono] = coeff
-        self._terms = data
+        check = self._check_key
+        self._terms = _accumulate({}, ((check(k), Scalar.coerce(c)) for k, c in items))
 
     @classmethod
-    def _raw(cls, data: dict[CuntzMonomial, Scalar]) -> "AlgebraElement":
+    def _raw(cls, data: dict):
         el = object.__new__(cls)
         el._terms = data
         return el
 
+    @classmethod
+    def _check_key(cls, key):
+        legs = tuple(key)
+        if len(legs) != cls._width or not all(isinstance(m, CuntzMonomial) for m in legs):
+            raise TypeError(f"expected {cls._width} CuntzMonomial legs, got {legs!r}")
+        return legs
+
+    @staticmethod
+    def _legs(key) -> tuple:
+        return key
+
+    @staticmethod
+    def _adjoint_key(key):
+        return tuple(m.adjoint() for m in key)
+
+    @staticmethod
+    def _key_mul(a, b):
+        legs = []
+        for x, y in zip(a, b):
+            leg = _mono_mul(x, y)
+            if leg is None:
+                return None
+            legs.append(leg)
+        return tuple(legs)
+
     def items(self):
         return self._terms.items()
 
-    def terms(self) -> list[tuple[CuntzMonomial, Scalar]]:
-        return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
+    def terms(self) -> list:
+        legs = self._legs
+        return sorted(
+            self._terms.items(), key=lambda kv: tuple(m.sort_key() for m in legs(kv[0]))
+        )
 
-    def coefficient(self, mono: CuntzMonomial) -> Scalar:
-        return self._terms.get(mono, Scalar(0))
-
-    def support_components(self) -> set[int]:
-        return {m.n for m in self._terms}
-
-    def component(self, n: int) -> "AlgebraElement":
-        return AlgebraElement._raw({m: c for m, c in self._terms.items() if m.n == n})
-
-    def restrict(self, keep) -> "AlgebraElement":
-        """Sub-element of terms whose component satisfies ``keep(n)``."""
-        return AlgebraElement._raw({m: c for m, c in self._terms.items() if keep(m.n)})
+    def coefficient(self, key) -> Scalar:
+        return self._terms.get(key, ZERO)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -141,7 +182,7 @@ class AlgebraElement:
         return len(self._terms)
 
     def __eq__(self, other):
-        if not isinstance(other, AlgebraElement):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self._terms == other._terms
 
@@ -149,61 +190,93 @@ class AlgebraElement:
         return hash(frozenset(self._terms.items()))
 
     def __add__(self, other):
-        if not isinstance(other, AlgebraElement):
+        if not isinstance(other, type(self)):
             return NotImplemented
-        data = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            acc = data.get(mono)
-            total = coeff if acc is None else acc + coeff
-            if total.is_zero():
-                data.pop(mono, None)
-            else:
-                data[mono] = total
-        return AlgebraElement._raw(data)
+        return type(self)._raw(_accumulate(dict(self._terms), other._terms.items()))
 
     def __neg__(self):
-        return AlgebraElement._raw({m: -c for m, c in self._terms.items()})
+        return type(self)._raw({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, AlgebraElement):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Scalar)):
-            return self.scale(other)
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        data: dict[CuntzMonomial, Scalar] = {}
-        for ma, ca in self._terms.items():
-            for mb, cb in other._terms.items():
-                prod = _mono_mul(ma, mb)
-                if prod is None:
-                    continue
-                coeff = ca * cb
-                acc = data.get(prod)
-                total = coeff if acc is None else acc + coeff
-                if total.is_zero():
-                    data.pop(prod, None)
-                else:
-                    data[prod] = total
-        return AlgebraElement._raw(data)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Scalar)):
             return self.scale(other)
         return NotImplemented
 
-    def scale(self, coeff) -> "AlgebraElement":
+    def _product(self, other):
+        key_mul, right = self._key_mul, other._terms.items()
+        products = (
+            (key, ca * cb)
+            for ka, ca in self._terms.items()
+            for kb, cb in right
+            if (key := key_mul(ka, kb)) is not None
+        )
+        return type(self)._raw(_accumulate({}, products))
+
+    def scale(self, coeff):
         coeff = Scalar.coerce(coeff)
         if coeff.is_zero():
-            return AlgebraElement._raw({})
-        return AlgebraElement._raw({m: c * coeff for m, c in self._terms.items()})
+            return type(self)._raw({})
+        return type(self)._raw({k: c * coeff for k, c in self._terms.items()})
 
-    def adjoint(self) -> "AlgebraElement":
-        return AlgebraElement._raw(
-            {m.adjoint(): c.conjugate() for m, c in self._terms.items()}
+    def adjoint(self):
+        adjoint_key = self._adjoint_key
+        return type(self)._raw(
+            {adjoint_key(k): c.conjugate() for k, c in self._terms.items()}
         )
+
+    def _leg_items(self):
+        legs = self._legs
+        return ((legs(k), c) for k, c in self._terms.items())
+
+    def equals(self, other) -> bool:
+        diff = self - other
+        return diff.is_zero() or grouped_expansion_is_zero(diff._leg_items())
+
+    def __repr__(self):
+        if not self._terms:
+            return f"{type(self).__name__}(0)"
+        return f"{type(self).__name__}({len(self._terms)} terms)"
+
+
+class AlgebraElement(LinearCombination):
+    """An element of the algebra: the width-1 combination, keyed by monomials."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _check_key(mono):
+        if not isinstance(mono, CuntzMonomial):
+            raise TypeError(f"expected CuntzMonomial key, got {mono!r}")
+        return mono
+
+    @staticmethod
+    def _legs(mono) -> tuple:
+        return (mono,)
+
+    _adjoint_key = staticmethod(CuntzMonomial.adjoint)
+    _key_mul = staticmethod(_mono_mul)
+
+    def support_components(self) -> set[int]:
+        return {m.n for m in self._terms}
+
+    def component(self, n: int) -> "AlgebraElement":
+        return AlgebraElement._raw({m: c for m, c in self._terms.items() if m.n == n})
+
+    def restrict(self, keep) -> "AlgebraElement":
+        """Sub-element of terms whose component satisfies ``keep(n)``."""
+        return AlgebraElement._raw({m: c for m, c in self._terms.items() if keep(m.n)})
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Scalar)):
+            return self.scale(other)
+        if not isinstance(other, AlgebraElement):
+            return NotImplemented
+        return self._product(other)
 
     def equals(self, other: "AlgebraElement") -> bool:
         return equals(self, other)
@@ -233,20 +306,6 @@ def from_monomial(mono: CuntzMonomial, coeff=1) -> AlgebraElement:
     return AlgebraElement._raw({mono: coeff})
 
 
-def _mono_mul(a: CuntzMonomial, b: CuntzMonomial) -> CuntzMonomial | None:
-    """(s_mu s_nu^*)(s_alpha s_beta^*) or None when the product is zero."""
-    if a.n != b.n:
-        return None
-    nu, alpha = a.nu, b.mu
-    if len(alpha) >= len(nu):
-        if alpha[: len(nu)] != nu:
-            return None
-        return CuntzMonomial(a.n, a.mu + alpha[len(nu):], b.nu)
-    if nu[: len(alpha)] != alpha:
-        return None
-    return CuntzMonomial(a.n, a.mu, b.nu + nu[len(alpha):])
-
-
 def reduce_word(word: RawWord) -> AlgebraElement:
     """Rewrite a raw word to zero or a single monomial.
 
@@ -265,16 +324,8 @@ def reduction_trace(word: RawWord) -> list[int]:
     """Word lengths after each rewrite step (first entry: input length)."""
     letters = _validated_letters(word)
     lengths = [len(letters)]
-    while True:
-        pos = _first_redex(letters)
-        if pos is None:
-            return lengths
-        i = letters[pos][0]
-        j = letters[pos + 1][0]
-        if i != j and not mutations.is_active(mutations.SKIP_DELTA_CHECK):
-            return lengths
-        letters = letters[:pos] + letters[pos + 2:]
-        lengths.append(len(letters))
+    _reduce_letters(letters, lengths)
+    return lengths
 
 
 def _validated_letters(word: RawWord):
@@ -284,14 +335,11 @@ def _validated_letters(word: RawWord):
     return list(word.letters)
 
 
-def _first_redex(letters) -> int | None:
-    for pos in range(len(letters) - 1):
-        if letters[pos][1] and not letters[pos + 1][1]:
-            return pos
-    return None
+def _reduce_letters(letters, lengths=None) -> list | None:
+    """Cancel leftmost ``s_i^* s_j`` pairs in place; None once i != j makes the word zero.
 
-
-def _reduce_letters(letters) -> list | None:
+    Appends the word length after each cancellation to ``lengths``.
+    """
     pos = 0
     while pos < len(letters) - 1:
         if letters[pos][1] and not letters[pos + 1][1]:
@@ -300,6 +348,9 @@ def _reduce_letters(letters) -> list | None:
             ):
                 return None
             del letters[pos : pos + 2]
+            if lengths is not None:
+                lengths.append(len(letters))
+            # Only the pair straddling the cut can have become a redex.
             pos = max(pos - 1, 0)
         else:
             pos += 1
@@ -315,18 +366,6 @@ def _letters_to_monomial(n: int, letters) -> CuntzMonomial:
     mu = tuple(i for i, _ in letters[:split])
     nu = tuple(i for i, _ in reversed(letters[split:]))
     return monomial(n, mu, nu)
-
-
-def add(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    return x + y
-
-
-def mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    return x * y
-
-
-def adjoint(x: AlgebraElement) -> AlgebraElement:
-    return x.adjoint()
 
 
 def _refinements(mono: CuntzMonomial, level: int) -> Iterator[CuntzMonomial]:
@@ -350,103 +389,102 @@ def expand_to_level(x: AlgebraElement, n: int, k: int) -> AlgebraElement:
     data: dict[CuntzMonomial, Scalar] = {}
     for mono, coeff in x.items():
         if mono.n != n:
-            data[mono] = data.get(mono, Scalar(0)) + coeff
+            data[mono] = coeff
             continue
         if len(mono.nu) > k:
             raise InputError(
                 f"cannot expand component {n} to level {k}: monomial at level {len(mono.nu)}"
             )
-        for refined in _refinements(mono, k):
-            acc = data.get(refined)
-            total = coeff if acc is None else acc + coeff
-            if total.is_zero():
-                data.pop(refined, None)
-            else:
-                data[refined] = total
-    return AlgebraElement._raw({m: c for m, c in data.items() if not c.is_zero()})
+        _accumulate(data, zip(_refinements(mono, k), repeat(coeff)))
+    return AlgebraElement._raw(data)
 
 
-def grouped_expansion_is_zero(terms) -> bool:
-    """Decide whether a linear combination of monomial tuples vanishes.
+def _expanded_groups(terms) -> Iterator[dict]:
+    """The nonzero level-expanded groups of a sum of monomial tuples.
 
-    ``terms`` yields ``(legs, coeff)`` with ``legs`` a tuple of monomials.
-    Terms are grouped by per-leg component and gauge degree; within a
-    group every leg expands to the group's maximal nu-length, where
-    monomials are linearly independent.
+    ``terms`` yields ``(legs, coeff)`` with distinct ``legs``, each a tuple
+    of monomials, and nonzero ``coeff``.  Terms are grouped by per-leg
+    component and gauge degree; within a group every leg expands to the
+    group's maximal nu-length, where monomials are linearly independent.
+    Yields each group's map from expanded legs to coefficient, skipping
+    groups that cancel to zero.  A lone term needs no expansion.
     """
     groups: dict[tuple, list] = {}
     for legs, coeff in terms:
         key = tuple((m.n, m.degree) for m in legs)
         groups.setdefault(key, []).append((legs, coeff))
     for group in groups.values():
-        width = len(group[0][0])
-        levels = tuple(max(len(legs[k].nu) for legs, _ in group) for k in range(width))
-        acc: dict[tuple, Scalar] = {}
+        if len(group) == 1:
+            yield dict(group)
+            continue
+        levels = [max(len(m.nu) for m in leg) for leg in zip(*(legs for legs, _ in group))]
+        leaves: dict[tuple, Scalar] = {}
         for legs, coeff in group:
-            for refined in product(
-                *(_refinements(m, lv) for m, lv in zip(legs, levels))
-            ):
-                prev = acc.get(refined)
-                total = coeff if prev is None else prev + coeff
-                if total.is_zero():
-                    acc.pop(refined, None)
-                else:
-                    acc[refined] = total
-        if acc:
-            return False
-    return True
+            _accumulate(leaves, zip(product(*map(_refinements, legs, levels)), repeat(coeff)))
+        if leaves:
+            yield leaves
+
+
+def grouped_expansion_is_zero(terms) -> bool:
+    """Decide whether a linear combination of monomial tuples vanishes."""
+    return next(_expanded_groups(terms), None) is None
 
 
 def equals(x: AlgebraElement, y: AlgebraElement) -> bool:
     """Exact equality in the algebra, via graded level expansion."""
     diff = x - y
-    if diff.is_zero():
-        return True
-    return grouped_expansion_is_zero(((m,), c) for m, c in diff.items())
+    return diff.is_zero() or grouped_expansion_is_zero(diff._leg_items())
+
+
+def _collapse_siblings(leaves: dict[CuntzMonomial, Scalar]) -> bool:
+    """Deepest-first sibling collapse of monomials of one component, in place.
+
+    A complete family ``{s_{mu i} s_{nu i}^* : i = 1..n}`` with a shared
+    coefficient is replaced by its parent ``s_mu s_nu^*``, which can then
+    complete a family one level up.  Returns True when anything collapsed.
+    """
+    if len(leaves) < 2:
+        return False  # a family has at least two children
+    by_level: dict[int, list[CuntzMonomial]] = {}
+    for mono in leaves:
+        by_level.setdefault(len(mono.nu), []).append(mono)
+    changed = False
+    for level in range(max(by_level, default=0), 0, -1):
+        families: dict[tuple, list[CuntzMonomial]] = {}
+        for mono in by_level.get(level, ()):
+            if mono.mu and mono.mu[-1] == mono.nu[-1]:
+                families.setdefault((mono.mu[:-1], mono.nu[:-1]), []).append(mono)
+        for (pmu, pnu), children in families.items():
+            n = children[0].n
+            if len(children) != n:
+                continue
+            # Leaves expanded from one term share one Scalar object, so the
+            # identity test spares most of the (slow) value comparisons.
+            shared = leaves[children[0]]
+            if any(leaves[m] is not shared and leaves[m] != shared for m in children):
+                continue
+            for m in children:
+                del leaves[m]
+            parent = CuntzMonomial(n, pmu, pnu)
+            leaves[parent] = shared
+            by_level.setdefault(level - 1, []).append(parent)
+            changed = True
+    return changed
 
 
 def canonical_form(x: AlgebraElement) -> AlgebraElement:
     """Unique compact representative of the equality class of ``x``.
 
     Per component and gauge degree: expand to the maximal nu-length, then
-    collapse deepest-first, replacing a full sibling family
-    ``{s_{mu i} s_{nu i}^* : i = 1..n}`` with a shared coefficient by its
-    parent ``s_mu s_nu^*``.  The pass is deterministic, so the output is
-    a canonical form, and it equals ``x`` in the algebra.
+    collapse complete sibling families with a shared coefficient into
+    their parent, deepest first.  The pass is deterministic, so the output
+    is a canonical form, and it equals ``x`` in the algebra.
     """
-    groups: dict[tuple[int, int], dict[CuntzMonomial, Scalar]] = {}
-    for mono, coeff in x.items():
-        groups.setdefault((mono.n, mono.degree), {})[mono] = coeff
-
     out: dict[CuntzMonomial, Scalar] = {}
-    for (n, _), terms in groups.items():
-        top = max(len(m.nu) for m in terms)
-        leaves: dict[CuntzMonomial, Scalar] = {}
-        for mono, coeff in terms.items():
-            for refined in _refinements(mono, top):
-                acc = leaves.get(refined)
-                total = coeff if acc is None else acc + coeff
-                if total.is_zero():
-                    leaves.pop(refined, None)
-                else:
-                    leaves[refined] = total
-        for level in range(top, 0, -1):
-            families: dict[tuple, dict[int, CuntzMonomial]] = {}
-            for mono in leaves:
-                if len(mono.nu) == level and mono.mu and mono.mu[-1] == mono.nu[-1]:
-                    parent = (mono.mu[:-1], mono.nu[:-1])
-                    families.setdefault(parent, {})[mono.mu[-1]] = mono
-            for (pmu, pnu), children in families.items():
-                if len(children) != n:
-                    continue
-                coeffs = {leaves[m] for m in children.values()}
-                if len(coeffs) != 1:
-                    continue
-                shared = coeffs.pop()
-                for m in children.values():
-                    del leaves[m]
-                leaves[CuntzMonomial(n, pmu, pnu)] = shared
-        out.update(leaves)
+    for leaves in _expanded_groups(x._leg_items()):
+        group = {legs[0]: c for legs, c in leaves.items()}
+        _collapse_siblings(group)
+        out.update(group)
     return AlgebraElement._raw(out)
 
 

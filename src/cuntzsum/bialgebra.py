@@ -14,7 +14,7 @@ from __future__ import annotations
 from .algebra import (
     AlgebraElement,
     CuntzMonomial,
-    ZERO_ELEMENT,
+    _accumulate,
     from_monomial,
     equals,
     monomial,
@@ -45,20 +45,14 @@ def phi(n: int, m: int, x: AlgebraElement) -> TensorElement:
     if n < 1 or m < 1:
         raise InputError("phi requires positive component indices")
     target = n * m
-    data: dict[tuple, Scalar] = {}
-    for mono, coeff in x.items():
+    for mono, _ in x.items():
         if mono.n != target:
             raise InputError(
                 f"phi({n},{m}) expects support on component {target}, found {mono.n}"
             )
-        key = _split_monomial(mono, n, m)
-        acc = data.get(key)
-        total = coeff if acc is None else acc + coeff
-        if total.is_zero():
-            data.pop(key, None)
-        else:
-            data[key] = total
-    return TensorElement._raw(data)
+    return TensorElement._raw(
+        _accumulate({}, ((_split_monomial(mono, n, m), c) for mono, c in x.items()))
+    )
 
 
 def _component_pairs(n: int) -> list[tuple[int, int]]:
@@ -69,26 +63,30 @@ def _component_pairs(n: int) -> list[tuple[int, int]]:
 
 
 def delta(x: AlgebraElement) -> TensorElement:
-    """Comultiplication: sum of embeddings over ordered divisor pairs."""
-    out = TensorElement._raw({})
+    """Comultiplication: sum of embeddings over ordered divisor pairs.
+
+    Each pair (m, l) lands in its own component pair, so the embeddings
+    never share a term and their union is the sum.
+    """
+    data: dict[tuple, Scalar] = {}
     for n in sorted(x.support_components()):
         part = x.component(n)
         for m, l in _component_pairs(n):
-            out = out + phi(m, l, part)
-    return out
+            data.update(phi(m, l, part).items())
+    return TensorElement._raw(data)
 
 
 def delta_restricted(submonoid, x: AlgebraElement) -> TensorElement:
     """Comultiplication over divisor pairs with both factors in the submonoid."""
-    out = TensorElement._raw({})
+    data: dict[tuple, Scalar] = {}
     for n in sorted(x.support_components()):
         if not submonoid.contains(n):
             raise InputError(f"component {n} lies outside the submonoid")
         part = x.component(n)
         for m, l in _component_pairs(n):
             if submonoid.contains(m) and submonoid.contains(l):
-                out = out + phi(m, l, part)
-    return out
+                data.update(phi(m, l, part).items())
+    return TensorElement._raw(data)
 
 
 # Spec-facing alias.
@@ -100,60 +98,41 @@ def counit(x: AlgebraElement) -> Scalar:
     return x.coefficient(monomial(1))
 
 
-def tensor_mul(u: TensorElement, v: TensorElement) -> TensorElement:
-    return u * v
-
-
-def tensor_adjoint(u: TensorElement) -> TensorElement:
-    return u.adjoint()
-
-
-def tensor_equals(u: TensorElement, v: TensorElement) -> bool:
-    return u.equals(v)
+def _lift(f, u: TensorElement, pos: int) -> TripleTensorElement:
+    """Apply an element-to-tensor map to leg ``pos`` and flatten to triples."""
+    data: dict[tuple, Scalar] = {}
+    for legs, coeff in u.items():
+        head, tail = legs[:pos], legs[pos + 1:]
+        _accumulate(
+            data,
+            ((head + pair + tail, coeff * c2) for pair, c2 in f(from_monomial(legs[pos])).items()),
+        )
+    return TripleTensorElement._raw(data)
 
 
 def lift_left(f, u: TensorElement) -> TripleTensorElement:
     """Apply an element-to-tensor map to the left leg and flatten to triples."""
-    data: dict[tuple, Scalar] = {}
-    for (left, right), coeff in u.items():
-        for (a, b), c2 in f(from_monomial(left)).items():
-            key = (a, b, right)
-            total = data.get(key, Scalar(0)) + coeff * c2
-            if total.is_zero():
-                data.pop(key, None)
-            else:
-                data[key] = total
-    return TripleTensorElement._raw(data)
+    return _lift(f, u, 0)
 
 
 def lift_right(f, u: TensorElement) -> TripleTensorElement:
-    data: dict[tuple, Scalar] = {}
-    for (left, right), coeff in u.items():
-        for (a, b), c2 in f(from_monomial(right)).items():
-            key = (left, a, b)
-            total = data.get(key, Scalar(0)) + coeff * c2
-            if total.is_zero():
-                data.pop(key, None)
-            else:
-                data[key] = total
-    return TripleTensorElement._raw(data)
+    return _lift(f, u, 1)
+
+
+def _contract(u: TensorElement, pos: int) -> AlgebraElement:
+    """Replace leg ``pos`` by its counit value (scalars absorb into coefficients)."""
+    keep = 1 - pos
+    return AlgebraElement._raw(
+        _accumulate({}, ((legs[keep], c) for legs, c in u.items() if legs[pos].n == 1))
+    )
 
 
 def counit_contract_left(u: TensorElement) -> AlgebraElement:
-    """Replace the left leg by its counit value (scalars absorb into coefficients)."""
-    out = ZERO_ELEMENT
-    for (left, right), coeff in u.items():
-        if left.n == 1:
-            out = out + from_monomial(right, coeff)
-    return out
+    return _contract(u, 0)
 
 
 def counit_contract_right(u: TensorElement) -> AlgebraElement:
-    out = ZERO_ELEMENT
-    for (left, right), coeff in u.items():
-        if right.n == 1:
-            out = out + from_monomial(left, coeff)
-    return out
+    return _contract(u, 1)
 
 
 def check_coassociativity(x: AlgebraElement, submonoid=None) -> bool:

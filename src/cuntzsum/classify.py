@@ -25,31 +25,6 @@ from .monoids import (
 from .tensors import TensorElement
 
 
-class ComponentPredicate(NamedTuple):
-    """Decidable component membership, global or window-bounded."""
-
-    contains: object  # callable n -> bool
-    scope: str        # "global" | "window"
-    description: str
-
-    @classmethod
-    def from_submonoid(cls, view: SubmonoidView) -> "ComponentPredicate":
-        return cls(view.contains, "global", f"[{view.generator_set.describe()}]")
-
-    @classmethod
-    def complement_of(cls, view: SubmonoidView) -> "ComponentPredicate":
-        return cls(
-            lambda n: not view.contains(n),
-            "global",
-            f"[{view.generator_set.describe()}]^c",
-        )
-
-    @classmethod
-    def from_window(cls, window: SubsetWindow) -> "ComponentPredicate":
-        members = window.members
-        return cls(lambda n: n in members, "window", f"window({window.bound})")
-
-
 class Classification(NamedTuple):
     verdict: str                       # subbialgebra | biideal | ideal_only | zero | none
     witness: tuple[int, int, int] | None
@@ -135,9 +110,13 @@ def decompose(x: AlgebraElement, prime_set: PrimeSet) -> Decomposition:
     view = SubmonoidView(prime_set)
     inside = x.restrict(view.contains)
     outside = x.restrict(lambda n: not view.contains(n))
-    assert inside + outside == x
-    assert not (inside.support_components() & outside.support_components())
-    assert (inside * outside).is_zero() and (outside * inside).is_zero()
+    # Explicit checks rather than asserts, so they also hold under -O.
+    if inside + outside != x:
+        raise RuntimeError("decomposition parts do not sum to the element")
+    if inside.support_components() & outside.support_components():
+        raise RuntimeError("decomposition parts share a component")
+    if not ((inside * outside).is_zero() and (outside * inside).is_zero()):
+        raise RuntimeError("decomposition parts do not annihilate each other")
     return Decomposition(inside, outside)
 
 

@@ -13,7 +13,6 @@ import json
 import sys
 
 from . import mutations
-from .algebra import canonical_form
 from .bialgebra import (
     check_coassociativity,
     check_counit_laws,
@@ -33,7 +32,6 @@ from .errors import InputError, ParseError
 from .exprs import (
     parse_element,
     render_element,
-    render_scalar,
     render_tensor,
     serialize_element,
     serialize_tensor,
@@ -68,9 +66,8 @@ def _prime_set_from_args(args) -> PrimeSet:
 def _submonoid_from_args(args):
     if getattr(args, "all", False):
         return NATURALS
-    power = getattr(args, "primes_powers", None) or getattr(args, "powers", None)
-    if power is not None:
-        return PowerSubmonoid(power)
+    if getattr(args, "primes_powers", None):
+        return PowerSubmonoid(args.primes_powers)
     return SubmonoidView(_prime_set_from_args(args))
 
 
@@ -130,7 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--coprimes", help="excluded primes (cofinite set)")
     group.add_argument("--primes-powers", dest="primes_powers", type=int, metavar="K",
                        help="the submonoid of powers of K")
-    group.add_argument("--powers", type=int, metavar="K", help="alias of --primes-powers")
     group.add_argument("--all", action="store_true", help="no restriction")
     p.add_argument("expr")
 
@@ -221,7 +217,7 @@ def run_command(args) -> int:
         print(_tensor_out(delta_restricted(submonoid, parse_element(args.expr)), fmt))
         return 0
     if cmd == "eps":
-        print(render_scalar(counit(parse_element(args.expr))))
+        print(counit(parse_element(args.expr)).literal())
         return 0
     if cmd == "coassoc":
         return _bool_out(check_coassociativity(parse_element(args.expr)))

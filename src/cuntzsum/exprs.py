@@ -75,6 +75,10 @@ class AdjointNode:
 # ---------------------------------------------------------------------------
 # Tokenizer
 
+# Deepest parenthesis nesting the parser accepts.  Each level costs a few
+# interpreter frames, so deeper input would end in RecursionError.
+MAX_NESTING = 200
+
 _SYMBOLS = {
     "+": "PLUS",
     "-": "MINUS",
@@ -126,6 +130,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -195,7 +200,11 @@ class _Parser:
             return UnitNode(n)
         if tok[0] == "LPAREN":
             self.advance()
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", tok[2])
+            self.depth += 1
             inner = self.element()
+            self.depth -= 1
             self.expect("RPAREN", "')'")
             if self.peek()[0] == "DAGGER":
                 self.advance()
@@ -342,12 +351,12 @@ def deserialize_element(text: str) -> AlgebraElement:
         fields = [f.strip() for f in line.split("|")]
         if len(fields) != 5:
             raise InputError(f"line {lineno}: expected 5 fields, found {len(fields)}")
-        n = int(fields[0])
-        mu = _parse_word_field(fields[1])
-        nu = _parse_word_field(fields[2])
-        re = Fraction(fields[3])
-        im = Fraction(fields[4])
-        terms.append((monomial(n, mu, nu), Scalar(re, im)))
+        try:
+            mono = monomial(int(fields[0]), _parse_word_field(fields[1]), _parse_word_field(fields[2]))
+            coeff = Scalar(Fraction(fields[3]), Fraction(fields[4]))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"line {lineno}: bad field: {exc}") from None
+        terms.append((mono, coeff))
     return AlgebraElement(terms)
 
 
@@ -358,7 +367,3 @@ def serialize_tensor(t: TensorElement) -> str:
         right = f"{r.n} | {_word_field(r.mu)} | {_word_field(r.nu)}"
         lines.append(f"{left} ⊗ {right} | {_coeff_fields(coeff)}")
     return "\n".join(lines)
-
-
-def render_scalar(c: Scalar) -> str:
-    return c.literal()

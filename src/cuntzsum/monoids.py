@@ -10,7 +10,7 @@ commutativity.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Protocol
+from typing import Iterable, NamedTuple
 
 from . import mutations
 from .errors import InputError
@@ -152,14 +152,6 @@ class PrimeSet:
         return f"PrimeSet({self.describe()})"
 
 
-def lattice_join(f: PrimeSet, g: PrimeSet) -> PrimeSet:
-    return f.union(g)
-
-
-def lattice_meet(f: PrimeSet, g: PrimeSet) -> PrimeSet:
-    return f.intersection(g)
-
-
 class SubmonoidView:
     """Submonoid generated by a prime set; membership decided globally."""
 
@@ -257,30 +249,6 @@ def window_of(view, bound: int) -> SubsetWindow:
 # Generic monoid backends
 
 
-class MonoidSpec(Protocol):
-    """What a windowed-predicate backend must provide.
-
-    Every element must have finitely many two-factor splittings, and the
-    unit must be neutral on both sides.
-    """
-
-    unit: object
-
-    def op(self, a, b): ...
-
-    def elements(self, bound): ...
-
-    def in_window(self, a, bound) -> bool: ...
-
-    def factor_pairs(self, a): ...
-
-    def size(self, a) -> int: ...
-
-    def fits(self, size_a, size_b, bound) -> bool: ...
-
-    def bounded_cofactors(self, s, bound): ...
-
-
 class NaturalsMonoid:
     """(N, *) within the window {1..bound}."""
 
@@ -358,11 +326,6 @@ class FreeMonoid:
 
 NATURALS_MONOID = NaturalsMonoid()
 FREE_MONOID_AB = FreeMonoid("ab")
-
-
-def factor_pairs(monoid, a):
-    """All ordered pairs (b, c) with b*c == a in the given monoid."""
-    return list(monoid.factor_pairs(a))
 
 
 # ---------------------------------------------------------------------------

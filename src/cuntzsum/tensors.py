@@ -1,131 +1,26 @@
 """Tensor squares and cubes of the algebra, at the level of finite sums.
 
 A tensor element is a finite map from tuples of monomials (one per leg)
-to nonzero scalars.  Leg products in different components vanish, the
-adjoint acts legwise, and equality uses the same graded level expansion
-as the base algebra, applied per leg.
+to nonzero scalars, on the same sparse core as `AlgebraElement`.  Leg
+products in different components vanish, the adjoint acts legwise, and
+equality and canonical form use the same graded level expansion and
+sibling collapse as the base algebra, applied per leg.
 """
 
 from __future__ import annotations
 
 from .algebra import (
     AlgebraElement,
-    CuntzMonomial,
-    _mono_mul,
-    grouped_expansion_is_zero,
+    LinearCombination,
+    _collapse_siblings,
+    _expanded_groups,
+    monomial,
 )
 from .scalars import ONE, Scalar
 
 
-class _TensorBase:
-    __slots__ = ("_terms",)
-    _width = 2
-
-    def __init__(self, terms=()):
-        data: dict[tuple, Scalar] = {}
-        items = terms.items() if hasattr(terms, "items") else terms
-        for legs, coeff in items:
-            legs = tuple(legs)
-            if len(legs) != self._width or not all(
-                isinstance(m, CuntzMonomial) for m in legs
-            ):
-                raise TypeError(f"expected {self._width} CuntzMonomial legs, got {legs!r}")
-            coeff = Scalar.coerce(coeff)
-            acc = data.get(legs)
-            total = coeff if acc is None else acc + coeff
-            if total.is_zero():
-                data.pop(legs, None)
-            else:
-                data[legs] = total
-        self._terms = data
-
-    @classmethod
-    def _raw(cls, data):
-        el = object.__new__(cls)
-        el._terms = data
-        return el
-
-    def items(self):
-        return self._terms.items()
-
-    def terms(self):
-        return sorted(
-            self._terms.items(), key=lambda kv: tuple(m.sort_key() for m in kv[0])
-        )
-
-    def coefficient(self, legs) -> Scalar:
-        return self._terms.get(tuple(legs), Scalar(0))
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __len__(self):
-        return len(self._terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    def __add__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        data = dict(self._terms)
-        for legs, coeff in other._terms.items():
-            acc = data.get(legs)
-            total = coeff if acc is None else acc + coeff
-            if total.is_zero():
-                data.pop(legs, None)
-            else:
-                data[legs] = total
-        return type(self)._raw(data)
-
-    def __neg__(self):
-        return type(self)._raw({k: -c for k, c in self._terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, coeff):
-        coeff = Scalar.coerce(coeff)
-        if coeff.is_zero():
-            return type(self)._raw({})
-        return type(self)._raw({k: c * coeff for k, c in self._terms.items()})
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Scalar)):
-            return self.scale(other)
-        return NotImplemented
-
-    def adjoint(self):
-        return type(self)._raw(
-            {
-                tuple(m.adjoint() for m in legs): c.conjugate()
-                for legs, c in self._terms.items()
-            }
-        )
-
-    def equals(self, other) -> bool:
-        diff = self - other
-        if diff.is_zero():
-            return True
-        return grouped_expansion_is_zero(diff.items())
-
-    def __repr__(self):
-        if not self._terms:
-            return f"{type(self).__name__}(0)"
-        return f"{type(self).__name__}({len(self._terms)} terms)"
-
-
-class TensorElement(_TensorBase):
+class TensorElement(LinearCombination):
+    __slots__ = ()
     _width = 2
 
     def __mul__(self, other):
@@ -133,31 +28,15 @@ class TensorElement(_TensorBase):
             return self.scale(other)
         if not isinstance(other, TensorElement):
             return NotImplemented
-        data: dict[tuple, Scalar] = {}
-        for (la, ra), ca in self._terms.items():
-            for (lb, rb), cb in other._terms.items():
-                left = _mono_mul(la, lb)
-                if left is None:
-                    continue
-                right = _mono_mul(ra, rb)
-                if right is None:
-                    continue
-                key = (left, right)
-                coeff = ca * cb
-                acc = data.get(key)
-                total = coeff if acc is None else acc + coeff
-                if total.is_zero():
-                    data.pop(key, None)
-                else:
-                    data[key] = total
-        return TensorElement._raw(data)
+        return self._product(other)
 
     def swap(self) -> "TensorElement":
         """Exchange the two legs of every term."""
         return TensorElement._raw({(r, l): c for (l, r), c in self._terms.items()})
 
 
-class TripleTensorElement(_TensorBase):
+class TripleTensorElement(LinearCombination):
+    __slots__ = ()
     _width = 3
 
 
@@ -169,47 +48,26 @@ def simple_tensor(left: AlgebraElement, right: AlgebraElement) -> TensorElement:
     return TensorElement._raw(data)
 
 
-ZERO_TENSOR = TensorElement._raw({})
-ZERO_TRIPLE = TripleTensorElement._raw({})
-
-
 def tensor_unit(n: int, m: int) -> TensorElement:
-    from .algebra import monomial
-
     return TensorElement._raw({(monomial(n), monomial(m)): ONE})
 
 
 def _collapse_leg(leaves: dict, pos: int) -> bool:
-    """One deepest-first sibling-collapse sweep over leg ``pos``.
+    """Sibling collapse on leg ``pos`` with the other legs held fixed, in place.
 
-    A complete family s_{mu 1}s_{nu 1}^*,...,s_{mu n}s_{nu n}^* in that
-    leg, with the other legs fixed and a shared coefficient, is replaced
-    by its parent.  Returns True when anything collapsed.
+    Returns True when anything collapsed.
     """
+    buckets: dict[tuple, dict] = {}
+    for legs, coeff in leaves.items():
+        buckets.setdefault(legs[:pos] + legs[pos + 1:], {})[legs[pos]] = coeff
     changed = False
-    top = max((len(legs[pos].nu) for legs in leaves), default=0)
-    for level in range(top, 0, -1):
-        families: dict[tuple, dict[int, tuple]] = {}
-        for legs in leaves:
-            mono = legs[pos]
-            if len(mono.nu) == level and mono.mu and mono.mu[-1] == mono.nu[-1]:
-                others = legs[:pos] + legs[pos + 1:]
-                key = (others, mono.mu[:-1], mono.nu[:-1])
-                families.setdefault(key, {})[mono.mu[-1]] = legs
-        for (others, pmu, pnu), children in families.items():
-            n = next(iter(children.values()))[pos].n
-            if len(children) != n:
-                continue
-            coeffs = {leaves[k] for k in children.values()}
-            if len(coeffs) != 1:
-                continue
-            shared = coeffs.pop()
-            for k in children.values():
-                del leaves[k]
-            parent = CuntzMonomial(n, pmu, pnu)
-            legs = others[:pos] + (parent,) + others[pos:]
-            leaves[legs] = shared
-            changed = True
+    for bucket in buckets.values():
+        changed = _collapse_siblings(bucket) or changed
+    if changed:
+        leaves.clear()
+        for others, bucket in buckets.items():
+            head, tail = others[:pos], others[pos:]
+            leaves.update((head + (mono,) + tail, c) for mono, c in bucket.items())
     return changed
 
 
@@ -218,29 +76,11 @@ def canonical_tensor_form(t: TensorElement) -> TensorElement:
 
     Per group of (component, degree) leg signatures: expand every leg to
     the group's maximal nu-length, then alternate sibling collapses on
-    the two legs until nothing moves.
+    the legs until nothing moves.
     """
-    from .algebra import _refinements
-    from itertools import product as iproduct
-
-    groups: dict[tuple, dict[tuple, Scalar]] = {}
-    for legs, coeff in t.items():
-        key = tuple((m.n, m.degree) for m in legs)
-        groups.setdefault(key, {})[legs] = coeff
-
     out: dict[tuple, Scalar] = {}
-    for group in groups.values():
-        width = len(next(iter(group)))
-        levels = tuple(max(len(legs[k].nu) for legs in group) for k in range(width))
-        leaves: dict[tuple, Scalar] = {}
-        for legs, coeff in group.items():
-            for refined in iproduct(*(_refinements(m, lv) for m, lv in zip(legs, levels))):
-                acc = leaves.get(refined)
-                total = coeff if acc is None else acc + coeff
-                if total.is_zero():
-                    leaves.pop(refined, None)
-                else:
-                    leaves[refined] = total
+    for leaves in _expanded_groups(t.items()):
+        width = len(next(iter(leaves)))
         while any(_collapse_leg(leaves, pos) for pos in range(width)):
             pass
         out.update(leaves)

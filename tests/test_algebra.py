@@ -15,7 +15,6 @@ from cuntzsum import (
     from_monomial,
     generator,
     monomial,
-    mul,
     raw_word,
     reduce_word,
     unit,
@@ -277,7 +276,7 @@ def test_relation_laws_small_components():
             for j in range(1, n + 1):
                 expected = unit(n) if i == j else ZERO_ELEMENT
                 assert equals(
-                    mul(generator(n, i).adjoint(), generator(n, j)), expected
+                    generator(n, i).adjoint() * generator(n, j), expected
                 )
         total = ZERO_ELEMENT
         for i in range(1, n + 1):

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -18,11 +22,9 @@ from cuntzsum import (
     lattice_iso_check,
     quotient_morphism_check,
     subset_window,
-    tensor_equals,
     unit,
-    window_of,
 )
-from cuntzsum.classify import ComponentPredicate, _project_tensor
+from cuntzsum.classify import _project_tensor
 
 
 def brute_force_verdict(members, bound):
@@ -139,6 +141,24 @@ class TestDecompose:
         assert (parts.subbialgebra_part * parts.biideal_part).is_zero()
         assert (parts.biideal_part * parts.subbialgebra_part).is_zero()
 
+    def test_inexact_split_raises_under_optimize(self):
+        # The exactness checks must not be asserts, which -O strips.
+        script = (
+            "from cuntzsum import AlgebraElement, PrimeSet, decompose, generator\n"
+            "AlgebraElement.restrict = lambda self, keep: AlgebraElement()\n"
+            "try:\n"
+            "    decompose(generator(2, 1) + generator(3, 1), PrimeSet.finite([2]))\n"
+            "except RuntimeError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("raised: decomposition parts do not sum")
+
 
 class TestQuotientMorphism:
     def test_component_four_keeps_all_terms(self):
@@ -150,7 +170,7 @@ class TestQuotientMorphism:
         # inside the generated submonoid
         projected = _project_tensor(delta(x), view.contains)
         assert projected == delta(x)
-        assert tensor_equals(projected, delta_restricted(view, x))
+        assert projected.equals(delta_restricted(view, x))
 
     def test_empty_prime_set_projects_to_scalars(self):
         prime_set = PrimeSet.finite([])
@@ -197,17 +217,6 @@ class TestLatticeIso:
     def test_report_lines(self):
         lines = lattice_iso_check(PrimeSet.finite([2]), PrimeSet.finite([3]), 30).lines()
         assert any("consistent: yes" in line for line in lines)
-
-
-class TestComponentPredicate:
-    def test_scopes(self):
-        view = SubmonoidView(PrimeSet.finite([2]))
-        pred = ComponentPredicate.from_submonoid(view)
-        assert pred.scope == "global" and pred.contains(8) and not pred.contains(6)
-        comp = ComponentPredicate.complement_of(view)
-        assert comp.contains(6) and not comp.contains(8)
-        window = ComponentPredicate.from_window(window_of(view, 20))
-        assert window.scope == "window" and window.contains(16)
 
 
 def test_order_anti_isomorphism_on_chains():

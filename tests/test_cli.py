@@ -145,6 +145,11 @@ class TestErrors:
     def test_usage_exit_2(self, capsys):
         assert main([]) == 2
 
+    def test_deep_nesting_exit_2(self, capsys):
+        code, out, err = run(capsys, "norm", "(" * 5000 + "s(2,1)" + ")" * 5000)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestDeterminism:
     def test_byte_identical_outputs(self, capsys):

@@ -26,6 +26,7 @@ from cuntzsum import (
     tensor_unit,
     unit,
 )
+from cuntzsum import exprs
 
 
 class TestParser:
@@ -75,6 +76,12 @@ class TestParser:
             parse_element("s(2 1)")
         with pytest.raises(ParseError):
             parse_element("[1/0] * I(1)")
+
+    def test_nesting_bound(self):
+        depth = exprs.MAX_NESTING
+        assert parse_element("(" * depth + "s(2,1)" + ")" * depth) == generator(2, 1)
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_element("(" * (depth + 1) + "s(2,1)" + ")" * (depth + 1))
 
     def test_index_errors_name_the_generator(self):
         with pytest.raises(InputError, match=r"s\(2,3\)"):
@@ -142,6 +149,14 @@ class TestSerialization:
     def test_bad_line_rejected(self):
         with pytest.raises(InputError):
             deserialize_element("2 | 1 | -")
+
+    @pytest.mark.parametrize(
+        "line",
+        ["x | - | - | 1/1 | 0/1", "2 | a | - | 1 | 0", "2 | 1 | - | 1/0 | 0/1"],
+    )
+    def test_bad_field_names_its_line(self, line):
+        with pytest.raises(InputError, match="^line 2: "):
+            deserialize_element("2 | 1 | - | 1/1 | 0/1\n" + line)
 
 
 @given(elements(max_n=6, max_len=2, max_terms=3))

@@ -10,14 +10,11 @@ from cuntzsum import (
     SubmonoidView,
     complement_duality_check,
     divisor_pairs,
-    factor_pairs,
     is_factorial,
     is_ideal,
     is_prime,
     is_prime_subset,
     is_subsemigroup,
-    lattice_join,
-    lattice_meet,
     prime_factorize,
     submonoid_member,
     subset_window,
@@ -57,12 +54,12 @@ class TestFactorization:
 
 class TestFactorPairs:
     def test_naturals(self):
-        assert factor_pairs(NATURALS_MONOID, 6) == [(1, 6), (2, 3), (3, 2), (6, 1)]
-        assert factor_pairs(NATURALS_MONOID, 1) == [(1, 1)]
+        assert NATURALS_MONOID.factor_pairs(6) == [(1, 6), (2, 3), (3, 2), (6, 1)]
+        assert NATURALS_MONOID.factor_pairs(1) == [(1, 1)]
         assert divisor_pairs(12)[0] == (1, 12)
 
     def test_free_monoid_prefix_splits(self):
-        assert factor_pairs(FREE_MONOID_AB, "ab") == [("", "ab"), ("a", "b"), ("ab", "")]
+        assert FREE_MONOID_AB.factor_pairs("ab") == [("", "ab"), ("a", "b"), ("ab", "")]
 
 
 class TestPrimeSet:
@@ -81,16 +78,16 @@ class TestPrimeSet:
     def test_mode_arithmetic(self):
         f = PrimeSet.finite([2, 3])
         g = PrimeSet.excluding([2])
-        assert lattice_meet(g, f) == PrimeSet.finite([3])
-        assert lattice_join(f, g) == PrimeSet.excluding([])
-        assert lattice_join(PrimeSet.finite([2]), PrimeSet.finite([3])) == PrimeSet.finite([2, 3])
-        assert lattice_meet(PrimeSet.finite([2, 3]), PrimeSet.finite([3, 5])) == PrimeSet.finite([3])
-        assert lattice_meet(PrimeSet.excluding([2]), PrimeSet.excluding([3])) == PrimeSet.excluding([2, 3])
+        assert g.intersection(f) == PrimeSet.finite([3])
+        assert f.union(g) == PrimeSet.excluding([])
+        assert PrimeSet.finite([2]).union(PrimeSet.finite([3])) == PrimeSet.finite([2, 3])
+        assert PrimeSet.finite([2, 3]).intersection(PrimeSet.finite([3, 5])) == PrimeSet.finite([3])
+        assert PrimeSet.excluding([2]).intersection(PrimeSet.excluding([3])) == PrimeSet.excluding([2, 3])
 
     def test_meet_verified_by_membership(self):
         g = PrimeSet.excluding([2])
         f = PrimeSet.finite([2, 3])
-        meet = lattice_meet(g, f)
+        meet = g.intersection(f)
         vg, vf, vm = SubmonoidView(g), SubmonoidView(f), SubmonoidView(meet)
         for n in range(1, 101):
             assert vm.contains(n) == (vg.contains(n) and vf.contains(n))

@@ -1,3 +1,5 @@
+import threading
+
 import pytest
 
 from cuntzsum import SuiteConfig, run_property_suite
@@ -47,6 +49,26 @@ def test_extreme_configs_stay_green():
         assert report.all_passed, [
             (r.name, r.failures[:2]) for r in report.results if not r.passed
         ]
+
+
+def test_mutation_switch_stays_in_its_thread():
+    seen = []
+    mutations.enable(mutations.ONE_IS_PRIME)
+    worker = threading.Thread(target=lambda: seen.append(mutations.is_active(mutations.ONE_IS_PRIME)))
+    worker.start()
+    worker.join(timeout=10)
+    assert not worker.is_alive()
+    assert seen == [False]
+    assert mutations.is_active(mutations.ONE_IS_PRIME)
+
+
+def test_enabled_restores_the_prior_switches():
+    mutations.enable(mutations.ONE_IS_PRIME)
+    with mutations.enabled(mutations.ONE_IS_PRIME):
+        with mutations.enabled(mutations.SKIP_DELTA_CHECK):
+            assert mutations.is_active(mutations.SKIP_DELTA_CHECK)
+        assert not mutations.is_active(mutations.SKIP_DELTA_CHECK)
+    assert mutations.is_active(mutations.ONE_IS_PRIME)
 
 
 @pytest.mark.parametrize("mutation", mutations.ALL_MUTATIONS)

@@ -137,10 +137,11 @@ class LinearCombination:
 
     @classmethod
     def _check_key(cls, key):
+        """The validated key, each leg rebuilt by `monomial`; `_raw` skips this."""
         legs = tuple(key)
         if len(legs) != cls._width or not all(isinstance(m, CuntzMonomial) for m in legs):
             raise TypeError(f"expected {cls._width} CuntzMonomial legs, got {legs!r}")
-        return legs
+        return tuple(monomial(*m) for m in legs)
 
     @staticmethod
     def _legs(key) -> tuple:
@@ -252,7 +253,7 @@ class AlgebraElement(LinearCombination):
     def _check_key(mono):
         if not isinstance(mono, CuntzMonomial):
             raise TypeError(f"expected CuntzMonomial key, got {mono!r}")
-        return mono
+        return monomial(*mono)
 
     @staticmethod
     def _legs(mono) -> tuple:
@@ -300,10 +301,7 @@ def generator(n: int, i: int) -> AlgebraElement:
 
 
 def from_monomial(mono: CuntzMonomial, coeff=1) -> AlgebraElement:
-    coeff = Scalar.coerce(coeff)
-    if coeff.is_zero():
-        return ZERO_ELEMENT
-    return AlgebraElement._raw({mono: coeff})
+    return AlgebraElement({mono: coeff})
 
 
 def reduce_word(word: RawWord) -> AlgebraElement:

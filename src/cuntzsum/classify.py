@@ -11,16 +11,22 @@ with the two parts annihilating each other.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import NamedTuple
 
 from .algebra import AlgebraElement, generator, unit
 from .bialgebra import counit, delta, delta_restricted
 from .errors import InputError
 from .monoids import (
+    NATURALS_MONOID,
     PrimeSet,
     SubmonoidView,
     SubsetWindow,
-    divisor_pairs,
+    _check_factorial,
+    _check_ideal,
+    _check_prime,
+    _check_subsemigroup,
+    window_of,
 )
 from .tensors import TensorElement
 
@@ -36,58 +42,33 @@ class Decomposition(NamedTuple):
     biideal_part: AlgebraElement
 
 
-def _divisor_closure_witness(members, bound) -> tuple[int, int, int] | None:
-    for n in sorted(members):
-        for m, l in divisor_pairs(n):
-            if m not in members or l not in members:
-                return (n, m, l)
-    return None
-
-
-def _product_closure_witness(members, bound) -> tuple[int, int, int] | None:
-    for a in sorted(members):
-        for b in sorted(members):
-            if a * b <= bound and a * b not in members:
-                return (a * b, a, b)
-    return None
-
-
-def _ideal_witness(members, bound) -> tuple[int, int, int] | None:
-    for a in range(1, bound + 1):
-        for s in sorted(members):
-            if a * s <= bound and a * s not in members:
-                return (a * s, a, s)
-    return None
-
-
-def _prime_witness(members, bound) -> tuple[int, int, int] | None:
-    for n in sorted(members):
-        for m, l in divisor_pairs(n):
-            if m not in members and l not in members:
-                return (n, m, l)
-    return None
-
-
 def classify_component_set(window: SubsetWindow) -> Classification:
-    """Window verdict: subbialgebra, biideal, ideal_only, zero, or none."""
+    """Window verdict: subbialgebra, biideal, ideal_only, zero, or none.
+
+    Decided by the shared window predicates of `monoids`; every witness
+    is ``(product, left factor, right factor)``.
+    """
     members = set(window.members)
     bound = window.bound
     if not members:
         return Classification("zero", None)
     if 1 in members:
-        witness = _divisor_closure_witness(members, bound)
-        if witness is None:
-            witness = _product_closure_witness(members, bound)
-        if witness is None:
-            return Classification("subbialgebra", None)
-        return Classification("none", witness)
-    ideal_witness = _ideal_witness(members, bound)
-    prime_witness = _prime_witness(members, bound)
-    if ideal_witness is None and prime_witness is None:
-        return Classification("biideal", None)
-    if ideal_witness is None:
-        return Classification("ideal_only", None)
-    return Classification("none", ideal_witness if prime_witness is None else prime_witness)
+        factorial = _check_factorial(NATURALS_MONOID, members, bound)
+        if not factorial.holds:
+            return Classification("none", factorial.witness)
+        closed = _check_subsemigroup(NATURALS_MONOID, members, bound)
+        if not closed.holds:
+            a, b, ab = closed.witness
+            return Classification("none", (ab, a, b))
+        return Classification("subbialgebra", None)
+    ideal = _check_ideal(NATURALS_MONOID, members, bound)
+    prime = _check_prime(NATURALS_MONOID, members, bound)
+    if ideal.holds:
+        return Classification("biideal" if prime.holds else "ideal_only", None)
+    if not prime.holds:
+        return Classification("none", prime.witness)
+    a, s, product = ideal.witness
+    return Classification("none", (product, a, s))
 
 
 def check_biideal_on_generators(prime_set: PrimeSet, n: int) -> bool:
@@ -165,49 +146,43 @@ class LatticeIsoReport(NamedTuple):
 
 
 def lattice_iso_check(f: PrimeSet, g: PrimeSet, bound: int) -> LatticeIsoReport:
-    """Meet, join, inclusion, and separation semantics over components <= bound."""
-    vf, vg = SubmonoidView(f), SubmonoidView(g)
-    vmeet = SubmonoidView(f.intersection(g))
-    vjoin = SubmonoidView(f.union(g))
+    """Meet, join, inclusion, and separation semantics over components <= bound.
+
+    Each submonoid is traced once over the window; the checks compare the
+    member sets, and each witness is the smallest offending component.
+    """
+    wf, wg, wmeet, wjoin = (
+        window_of(SubmonoidView(s), bound).members
+        for s in (f, g, f.intersection(g), f.union(g))
+    )
     checks = []
 
-    witness = None
-    for n in range(1, bound + 1):
-        if vmeet.contains(n) != (vf.contains(n) and vg.contains(n)):
-            witness = (n,)
-            break
+    bad = wmeet ^ (wf & wg)
+    witness = (min(bad),) if bad else None
     checks.append(LatticeCheck("meet membership = intersection of memberships", witness is None, witness))
 
-    witness = None
-    for n in range(1, bound + 1):
-        generated = any(
-            vf.contains(m) and vg.contains(n // m) for m, _ in divisor_pairs(n)
-        )
-        if vjoin.contains(n) != generated:
-            witness = (n,)
-            break
+    right = sorted(wg)
+    products = {a * b for a in wf for b in right[:bisect_right(right, bound // a)]}
+    bad = wjoin ^ products
+    witness = (min(bad),) if bad else None
     checks.append(LatticeCheck("join membership = products of the two submonoids", witness is None, witness))
 
     witness = None
-    for n in range(1, bound + 1):
-        if vmeet.contains(n) and not vf.contains(n):
-            witness = (n, "meet not inside left factor")
-            break
-        if vf.contains(n) and not vjoin.contains(n):
-            witness = (n, "left factor not inside join")
-            break
-    if witness is None and f.issubset(g):
-        for n in range(1, bound + 1):
-            if vf.contains(n) and not vg.contains(n):
-                witness = (n, "inclusion violated")
-                break
+    meet_escapes, left_escapes = wmeet - wf, wf - wjoin
+    if meet_escapes or left_escapes:
+        n = min(meet_escapes | left_escapes)
+        witness = (n, "meet not inside left factor" if n in meet_escapes else "left factor not inside join")
+    elif f.issubset(g) and wf - wg:
+        witness = (min(wf - wg), "inclusion violated")
     checks.append(LatticeCheck("monotonicity under inclusion", witness is None, witness))
 
     if f == g:
         checks.append(LatticeCheck("separation", True, None))
     else:
         p = f.separating_prime(g)
-        ok = p is not None and vf.contains(p) != vg.contains(p)
+        # beyond the window, a prime lies in a generated submonoid exactly when it generates
+        in_f, in_g = (p in wf, p in wg) if p <= bound else (f.contains(p), g.contains(p))
+        ok = in_f != in_g
         checks.append(LatticeCheck("separation", ok, None if ok else (p,)))
 
     return LatticeIsoReport(tuple(checks), all(c.holds for c in checks))

@@ -9,6 +9,7 @@ Exit codes: 0 on success (including query answers like ``false`` from
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -52,14 +53,20 @@ def _parse_prime_list(text: str) -> list[int]:
     text = text.strip()
     if not text:
         return []
-    return [int(part) for part in text.split(",")]
+    try:
+        return [int(part) for part in text.split(",")]
+    except ValueError:
+        raise InputError(f"bad integer list {text!r}; use comma-separated integers, e.g. 2,3") from None
+
+
+_PRIME_SET_KINDS = {"primes": PrimeSet.finite, "coprimes": PrimeSet.excluding}
 
 
 def _prime_set_from_args(args) -> PrimeSet:
-    if getattr(args, "primes", None) is not None:
-        return PrimeSet.finite(_parse_prime_list(args.primes))
-    if getattr(args, "coprimes", None) is not None:
-        return PrimeSet.excluding(_parse_prime_list(args.coprimes))
+    for kind, make in _PRIME_SET_KINDS.items():
+        payload = getattr(args, kind, None)
+        if payload is not None:
+            return make(_parse_prime_list(payload))
     raise InputError("a prime set is required (--primes or --coprimes)")
 
 
@@ -71,18 +78,21 @@ def _submonoid_from_args(args):
     return SubmonoidView(_prime_set_from_args(args))
 
 
+def _prime_set_spec(text: str) -> PrimeSet:
+    """``primes:2,3`` / ``coprimes:2`` -> the prime set."""
+    kind, _, payload = text.partition(":")
+    if kind not in _PRIME_SET_KINDS:
+        raise InputError(f"unknown prime set spec {text!r}; use primes: or coprimes:")
+    return _PRIME_SET_KINDS[kind](_parse_prime_list(payload))
+
+
 def _parse_set_spec(spec: str, bound: int):
     """``primes:2,3`` / ``coprimes:2`` / ``list:1,4,16`` -> window + scope."""
     kind, _, payload = spec.partition(":")
     if kind == "list":
-        members = _parse_prime_list(payload)
-        return subset_window(bound, members), "window"
-    if kind == "primes":
-        view = SubmonoidView(PrimeSet.finite(_parse_prime_list(payload)))
-        return window_of(view, bound), "global"
-    if kind == "coprimes":
-        view = SubmonoidView(PrimeSet.excluding(_parse_prime_list(payload)))
-        return window_of(view, bound), "global"
+        return subset_window(bound, _parse_prime_list(payload)), "window"
+    if kind in _PRIME_SET_KINDS:
+        return window_of(SubmonoidView(_prime_set_spec(spec)), bound), "global"
     raise InputError(f"unknown set spec {spec!r}; use primes:, coprimes:, or list:")
 
 
@@ -99,7 +109,17 @@ def _bool_out(value: bool) -> int:
     return 0 if value else 1
 
 
+def _prime_set_group(p):
+    """The required ``--primes`` / ``--coprimes`` choice of a subcommand."""
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--primes", help="generating primes, e.g. 2,3")
+    group.add_argument("--coprimes", help="excluded primes (cofinite set)")
+    return group
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="cuntzsum",
         description="Exact computations in the direct sum of all Cuntz algebras.",
@@ -122,9 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr")
 
     p = add("deltaH", "submonoid-restricted comultiplication")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--primes", help="generating primes, e.g. 2,3")
-    group.add_argument("--coprimes", help="excluded primes (cofinite set)")
+    group = _prime_set_group(p)
     group.add_argument("--primes-powers", dest="primes_powers", type=int, metavar="K",
                        help="the submonoid of powers of K")
     group.add_argument("--all", action="store_true", help="no restriction")
@@ -155,21 +173,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, default=100)
 
     p = add("member", "membership of n in a generated submonoid")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--primes")
-    group.add_argument("--coprimes")
+    _prime_set_group(p)
     p.add_argument("--n", type=int, required=True)
 
     p = add("decompose", "split an expression into generated + complement parts")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--primes")
-    group.add_argument("--coprimes")
+    _prime_set_group(p)
     p.add_argument("expr")
 
     p = add("quotient", "check the projection onto generated components is a morphism")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--primes")
-    group.add_argument("--coprimes")
+    _prime_set_group(p)
     p.add_argument("expr1")
     p.add_argument("expr2")
 
@@ -187,15 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mutate", choices=mutations.ALL_MUTATIONS)
 
     return parser
-
-
-def _prime_set_spec(text: str) -> PrimeSet:
-    kind, _, payload = text.partition(":")
-    if kind == "primes":
-        return PrimeSet.finite(_parse_prime_list(payload))
-    if kind == "coprimes":
-        return PrimeSet.excluding(_parse_prime_list(payload))
-    raise InputError(f"unknown prime set spec {text!r}; use primes: or coprimes:")
 
 
 def run_command(args) -> int:

@@ -10,6 +10,7 @@ commutativity.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Iterable, NamedTuple
 
 from . import mutations
@@ -168,9 +169,6 @@ class SubmonoidView:
             return False
         return all(self.generator_set.contains(p) for p in set(prime_factorize(n)))
 
-    def members_up_to(self, bound: int) -> list[int]:
-        return [n for n in range(1, bound + 1) if self.contains(n)]
-
     def __eq__(self, other):
         if not isinstance(other, SubmonoidView):
             return NotImplemented
@@ -202,13 +200,6 @@ class PowerSubmonoid:
         while n % self.base == 0:
             n //= self.base
         return n == 1
-
-    def members_up_to(self, bound: int) -> list[int]:
-        out, k = [], 1
-        while k <= bound:
-            out.append(k)
-            k *= self.base
-        return out
 
     def __repr__(self):
         return f"PowerSubmonoid({self.base})"
@@ -253,6 +244,7 @@ class NaturalsMonoid:
     """(N, *) within the window {1..bound}."""
 
     unit = 1
+    order_key = None  # by value, which is the size
 
     @staticmethod
     def op(a, b):
@@ -263,10 +255,6 @@ class NaturalsMonoid:
         return range(1, bound + 1)
 
     @staticmethod
-    def in_window(a, bound):
-        return a <= bound
-
-    @staticmethod
     def factor_pairs(a):
         return divisor_pairs(a)
 
@@ -275,19 +263,19 @@ class NaturalsMonoid:
         return a
 
     @staticmethod
-    def fits(size_a, size_b, bound):
-        return size_a * size_b <= bound
-
-    @staticmethod
-    def bounded_cofactors(s, bound):
-        """Elements a with op(a, s) still inside the window."""
-        return range(1, bound // s + 1)
+    def cofactor_cap(size, bound):
+        """Largest size of a factor whose product with one of ``size`` stays in the window."""
+        return bound // size
 
 
 class FreeMonoid:
     """Words over a finite alphabet; the window is a length cap."""
 
     unit = ""
+
+    @staticmethod
+    def order_key(a):
+        return (len(a), a)
 
     def __init__(self, alphabet: str = "ab"):
         self.alphabet = alphabet
@@ -305,10 +293,6 @@ class FreeMonoid:
         return out
 
     @staticmethod
-    def in_window(a, bound):
-        return len(a) <= bound
-
-    @staticmethod
     def factor_pairs(a):
         return [(a[:i], a[i:]) for i in range(len(a) + 1)]
 
@@ -317,11 +301,8 @@ class FreeMonoid:
         return len(a)
 
     @staticmethod
-    def fits(size_a, size_b, bound):
-        return size_a + size_b <= bound
-
-    def bounded_cofactors(self, s, bound):
-        return self.elements(bound - len(s))
+    def cofactor_cap(size, bound):
+        return bound - size
 
 
 NATURALS_MONOID = NaturalsMonoid()
@@ -330,21 +311,34 @@ FREE_MONOID_AB = FreeMonoid("ab")
 
 # ---------------------------------------------------------------------------
 # Windowed subset predicates
+#
+# The four `_check_*` searches are the only deciders of these properties,
+# for the duality reports and for `classify` alike.  They assume a
+# nonempty member set; `_guard` settles the empty and the improper
+# (whole-window) cases before any search runs.  A backend yields
+# ``elements(bound)`` in nondecreasing size, and its ``cofactor_cap``
+# does not grow with the size, so a search may stop at the first element
+# that has no cofactor left in the window.
 
 class PredicateResult(NamedTuple):
     holds: bool
     witness: tuple | None
 
 
+def _ordered(monoid, members):
+    # deterministic iteration: by size, then by value
+    return sorted(members, key=monoid.order_key)
+
+
 def _check_subsemigroup(monoid, members: set, bound: int) -> PredicateResult:
-    if not members:
-        return PredicateResult(False, ("empty",))
+    """First ``(a, b, ab)`` with ``ab`` in the window but not in ``members``."""
     ordered = _ordered(monoid, members)
-    for a in ordered:
-        sa = monoid.size(a)
-        for b in ordered:
-            if not monoid.fits(sa, monoid.size(b), bound):
-                break
+    sizes = [monoid.size(a) for a in ordered]
+    for a, size in zip(ordered, sizes):
+        cofactors = ordered[:bisect_right(sizes, monoid.cofactor_cap(size, bound))]
+        if not cofactors:
+            break
+        for b in cofactors:
             ab = monoid.op(a, b)
             if ab not in members:
                 return PredicateResult(False, (a, b, ab))
@@ -352,30 +346,22 @@ def _check_subsemigroup(monoid, members: set, bound: int) -> PredicateResult:
 
 
 def _check_ideal(monoid, members: set, bound: int) -> PredicateResult:
-    if not members:
-        return PredicateResult(False, ("empty",))
-    for s in _ordered(monoid, members):
-        for a in monoid.bounded_cofactors(s, bound):
+    """First ``(a, s, product)`` leaving ``members``: cofactor ``a`` outer, member ``s`` inner."""
+    ordered = _ordered(monoid, members)
+    sizes = [monoid.size(s) for s in ordered]
+    for a in monoid.elements(bound):
+        inner = ordered[:bisect_right(sizes, monoid.cofactor_cap(monoid.size(a), bound))]
+        if not inner:
+            break
+        for s in inner:
             for prod in (monoid.op(a, s), monoid.op(s, a)):
                 if prod not in members:
                     return PredicateResult(False, (a, s, prod))
     return PredicateResult(True, None)
 
 
-def _universe_set(monoid, bound: int) -> set:
-    return set(monoid.elements(bound))
-
-
-def _ordered(monoid, members):
-    # deterministic iteration: by size, then by value
-    return sorted(members, key=lambda a: (monoid.size(a), a))
-
-
 def _check_factorial(monoid, members: set, bound: int) -> PredicateResult:
-    if not members:
-        return PredicateResult(False, ("empty",))
-    if members == _universe_set(monoid, bound):
-        return PredicateResult(False, ("improper",))
+    """First ``(s, b, c)`` with ``s = bc`` in ``members`` but ``b`` or ``c`` outside."""
     for s in _ordered(monoid, members):
         for b, c in monoid.factor_pairs(s):
             if b not in members or c not in members:
@@ -384,10 +370,7 @@ def _check_factorial(monoid, members: set, bound: int) -> PredicateResult:
 
 
 def _check_prime(monoid, members: set, bound: int) -> PredicateResult:
-    if not members:
-        return PredicateResult(False, ("empty",))
-    if members == _universe_set(monoid, bound):
-        return PredicateResult(False, ("improper",))
+    """First ``(s, b, c)`` with ``s = bc`` in ``members`` but ``b`` and ``c`` outside."""
     for s in _ordered(monoid, members):
         for b, c in monoid.factor_pairs(s):
             if b not in members and c not in members:
@@ -395,20 +378,35 @@ def _check_prime(monoid, members: set, bound: int) -> PredicateResult:
     return PredicateResult(True, None)
 
 
+def _guard(members: set, universe: set | None = None) -> PredicateResult | None:
+    """The verdict no search is needed for: empty, or (given the universe) improper."""
+    if not members:
+        return PredicateResult(False, ("empty",))
+    if members == universe:
+        return PredicateResult(False, ("improper",))
+    return None
+
+
+def _window_verdict(check, window: SubsetWindow, proper: bool) -> PredicateResult:
+    members, bound = set(window.members), window.bound
+    universe = set(NATURALS_MONOID.elements(bound)) if proper else None
+    return _guard(members, universe) or check(NATURALS_MONOID, members, bound)
+
+
 def is_subsemigroup(window: SubsetWindow) -> PredicateResult:
-    return _check_subsemigroup(NATURALS_MONOID, set(window.members), window.bound)
+    return _window_verdict(_check_subsemigroup, window, proper=False)
 
 
 def is_ideal(window: SubsetWindow) -> PredicateResult:
-    return _check_ideal(NATURALS_MONOID, set(window.members), window.bound)
+    return _window_verdict(_check_ideal, window, proper=False)
 
 
 def is_factorial(window: SubsetWindow) -> PredicateResult:
-    return _check_factorial(NATURALS_MONOID, set(window.members), window.bound)
+    return _window_verdict(_check_factorial, window, proper=True)
 
 
 def is_prime_subset(window: SubsetWindow) -> PredicateResult:
-    return _check_prime(NATURALS_MONOID, set(window.members), window.bound)
+    return _window_verdict(_check_prime, window, proper=True)
 
 
 class SideVerdicts(NamedTuple):
@@ -454,23 +452,19 @@ def _and_results(*results: PredicateResult) -> PredicateResult:
     return PredicateResult(True, None)
 
 
-def _proper(monoid, members: set, bound: int, inner: PredicateResult) -> PredicateResult:
-    if members == _universe_set(monoid, bound):
-        return PredicateResult(False, ("improper",))
-    return inner
-
-
-def _side_verdicts(monoid, members: set, bound: int) -> SideVerdicts:
+def _side_verdicts(monoid, members: set, bound: int, universe: set) -> SideVerdicts:
+    guard = _guard(members, universe)
+    if guard is not None:
+        # each of the six properties needs a nonempty proper subset
+        return SideVerdicts(*[guard] * len(SideVerdicts._fields))
     sub = _check_subsemigroup(monoid, members, bound)
     ideal = _check_ideal(monoid, members, bound)
-    proper_sub = _proper(monoid, members, bound, sub)
-    proper_ideal = _proper(monoid, members, bound, ideal)
     prime = _check_prime(monoid, members, bound)
     fact = _check_factorial(monoid, members, bound)
     unit_in = PredicateResult(monoid.unit in members, None if monoid.unit in members else ("missing unit",))
     return SideVerdicts(
-        proper_subsemigroup=proper_sub,
-        proper_ideal=proper_ideal,
+        proper_subsemigroup=sub,
+        proper_ideal=ideal,
         prime=prime,
         factorial=fact,
         factorial_submonoid=_and_results(fact, sub, unit_in),
@@ -488,11 +482,11 @@ def complement_duality_check(window: SubsetWindow = None, monoid=None, members=N
         monoid = NATURALS_MONOID
         members = set(window.members)
         bound = window.bound
-    universe = _universe_set(monoid, bound)
+    universe = set(monoid.elements(bound))
     comp = universe - set(members)
 
-    side = _side_verdicts(monoid, set(members), bound)
-    dual = _side_verdicts(monoid, comp, bound)
+    side = _side_verdicts(monoid, set(members), bound, universe)
+    dual = _side_verdicts(monoid, comp, bound, universe)
 
     equivalences = (
         ("S proper subsemigroup <=> S^c prime", side.proper_subsemigroup.holds == dual.prime.holds),

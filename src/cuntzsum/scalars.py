@@ -92,10 +92,10 @@ class Scalar:
         return not self.is_zero()
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Scalar(other)
         if not isinstance(other, Scalar):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Scalar(other)
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):

@@ -57,7 +57,6 @@ from .exprs import (
 from .monoids import (
     FREE_MONOID_AB,
     NATURALS,
-    NATURALS_MONOID,
     PowerSubmonoid,
     PrimeSet,
     SubmonoidView,
@@ -496,12 +495,10 @@ def _suite_complement_duality(cfg, rng, fail):
     for _ in range(34):
         view = SubmonoidView(random_prime_set(rng, cofinite_chance=0.3))
         windows.append(window_of(view, cfg.bound))
+    universe = frozenset(range(1, cfg.bound + 1))
     for _ in range(33):
         view = SubmonoidView(random_prime_set(rng, cofinite_chance=0.3))
-        members = frozenset(
-            n for n in range(1, cfg.bound + 1) if not view.contains(n)
-        )
-        windows.append(subset_window(cfg.bound, members))
+        windows.append(subset_window(cfg.bound, universe - window_of(view, cfg.bound).members))
     powers = {4**k for k in range(10) if 4**k <= cfg.bound}
     windows.append(subset_window(cfg.bound, powers))
     for _ in range(32):
@@ -570,11 +567,8 @@ def _suite_order_structure(cfg, rng, fail):
             fail(f"multiples of {p} do not form a prime ideal (p={p})")
         if not multiples.members <= everything_but_one.members:
             fail(f"prime ideal of {p} not inside the maximal one")
-        others = PrimeSet.excluding([p])
-        complement_trace = frozenset(
-            n for n in range(1, bound + 1) if not SubmonoidView(others).contains(n)
-        )
-        if complement_trace != multiples.members:
+        others = window_of(SubmonoidView(PrimeSet.excluding([p])), bound).members
+        if set(range(1, bound + 1)) - others != multiples.members:
             fail(f"multiples of {p} differ from the generated-complement trace")
         checks += 3
     return checks
@@ -592,8 +586,8 @@ def _suite_classifier_soundness(cfg, rng, fail):
     ]
     for prime_set in prime_sets:
         view = SubmonoidView(prime_set)
-        inside = [n for n in range(1, cap + 1) if view.contains(n)]
-        outside = [n for n in range(1, cap + 1) if not view.contains(n)]
+        members = window_of(view, cap).members
+        inside, outside = sorted(members), sorted(set(range(1, cap + 1)) - members)
         for n in outside:
             if not check_biideal_on_generators(prime_set, n):
                 fail(f"biideal generator check fails for {prime_set.describe()} at {n}")
@@ -668,11 +662,9 @@ def _suite_order_anti_isomorphism(cfg, rng, fail):
         if not extra:
             continue
         g = f.union(PrimeSet.finite(rng.sample(extra, rng.randint(1, len(extra)))))
-        vf, vg = SubmonoidView(f), SubmonoidView(g)
-        for n in range(1, bound + 1):
-            if not vg.contains(n) and vf.contains(n):
-                fail(f"complement of [{g.describe()}] escapes that of [{f.describe()}] at {n}")
-                break
+        escapes = window_of(SubmonoidView(f), bound).members - window_of(SubmonoidView(g), bound).members
+        if escapes:
+            fail(f"complement of [{g.describe()}] escapes that of [{f.describe()}] at {min(escapes)}")
         checks += 1
     return checks
 

@@ -5,8 +5,10 @@ from hypothesis import given, settings
 
 from conftest import elements, monomials
 from cuntzsum import (
+    AlgebraElement,
     InputError,
     Scalar,
+    TensorElement,
     ZERO_ELEMENT,
     canonical_form,
     coefficient_extract,
@@ -17,9 +19,12 @@ from cuntzsum import (
     monomial,
     raw_word,
     reduce_word,
+    render_element,
+    render_tensor,
+    tensor_unit,
     unit,
 )
-from cuntzsum.algebra import reduction_trace
+from cuntzsum.algebra import CuntzMonomial, reduction_trace
 
 
 def word(n, *letters):
@@ -218,6 +223,22 @@ class TestMonomialConstruction:
             monomial(2, (3,), ())
         with pytest.raises(InputError):
             monomial(0)
+
+    def test_constructors_validate_raw_keys(self):
+        # Raw NamedTuple keys go through `monomial`: a component-1 word
+        # collapses to the unit, and an out-of-range letter is rejected.
+        raw_unit = CuntzMonomial(1, (1,), ())
+        for x in (AlgebraElement({raw_unit: 1}), from_monomial(raw_unit)):
+            assert x.equals(unit(1)) and render_element(x) == "I(1)"
+        pair = TensorElement({(raw_unit, CuntzMonomial(2, (), ())): 1})
+        assert pair == tensor_unit(1, 2) and render_tensor(pair) == "(I(1)) ⊗ (I(2))"
+        bad = CuntzMonomial(2, (5,), ())
+        with pytest.raises(InputError):
+            AlgebraElement({bad: 1})
+        with pytest.raises(InputError):
+            from_monomial(bad)
+        with pytest.raises(InputError):
+            TensorElement({(bad, monomial(2)): 1})
 
     def test_sort_key_groups_by_component_and_degree(self):
         a = monomial(2, (1,), ())

@@ -23,6 +23,7 @@ from cuntzsum import (
     quotient_morphism_check,
     subset_window,
     unit,
+    window_of,
 )
 from cuntzsum.classify import _project_tensor
 
@@ -191,10 +192,8 @@ class TestLatticeIso:
     def test_disjoint_primes(self):
         report = lattice_iso_check(PrimeSet.finite([2]), PrimeSet.finite([3]), 100)
         assert report.consistent
-        meet_members = SubmonoidView(
-            PrimeSet.finite([2]).intersection(PrimeSet.finite([3]))
-        ).members_up_to(100)
-        assert meet_members == [1]
+        meet = SubmonoidView(PrimeSet.finite([2]).intersection(PrimeSet.finite([3])))
+        assert window_of(meet, 100).members == {1}
 
     def test_equal_sets(self):
         f = PrimeSet.finite([2, 5])

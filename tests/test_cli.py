@@ -1,4 +1,6 @@
-from cuntzsum.cli import main
+import pytest
+
+from cuntzsum.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -151,6 +153,24 @@ class TestErrors:
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("member", "--primes", "x", "--n", "3"),
+        ("member", "--coprimes", "2,,3", "--n", "3"),
+        ("classify", "--set", "list:1,a"),
+        ("classify", "--set", "primes:2;3"),
+        ("lattice", "--f", "primes:2,,", "--g", "primes:3"),
+        ("decompose", "--primes", "two", "s(2,1)"),
+        ("deltaH", "--coprimes", "1.5", "s(2,1)"),
+    ],
+)
+def test_bad_integer_lists_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad integer list") and "Traceback" not in err
+
+
 class TestDeterminism:
     def test_byte_identical_outputs(self, capsys):
         first = run(capsys, "delta", "(s(4,1) + [1/2] * I(4))")
@@ -169,3 +189,25 @@ class TestDeterminism:
             line.split('"seconds"')[0] for line in text.splitlines()
         ]
         assert strip(out1) == strip(out2)
+
+    def test_shared_parser_matches_fresh_parsers(self, capsys):
+        # main() reuses one parser; good and bad argv in turn must give
+        # exactly what a parser built afresh for each call gives.
+        sequence = [
+            ("classify", "--set", "list:1,4,16,64", "--bound", "100"),
+            ("member", "--primes"),
+            ("member", "--primes", "2,3", "--n", "12"),
+            ("frobnicate",),
+            ("deltaH", "--primes-powers", "4", "s(4,1)"),
+            ("eq", "s(2,1)"),
+            ("lattice", "--f", "primes:2", "--g", "coprimes:3", "--bound", "40", "--format", "machine"),
+            ("classify", "--set", "bogus:1"),
+            ("norm", "s(2,1)*s(2,1)^* + s(2,2)*s(2,2)^*"),
+        ]
+        shared = [run(capsys, *argv) for argv in sequence]
+        fresh = []
+        for argv in sequence:
+            build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 2, 0, 2, 0, 2, 0, 2, 0]

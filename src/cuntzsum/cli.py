@@ -73,7 +73,7 @@ def _prime_set_from_args(args) -> PrimeSet:
 def _submonoid_from_args(args):
     if getattr(args, "all", False):
         return NATURALS
-    if getattr(args, "primes_powers", None):
+    if getattr(args, "primes_powers", None) is not None:
         return PowerSubmonoid(args.primes_powers)
     return SubmonoidView(_prime_set_from_args(args))
 

@@ -18,7 +18,6 @@ element reproduces its equality class byte-for-byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
@@ -26,50 +25,13 @@ from .algebra import (
     CuntzMonomial,
     ZERO_ELEMENT,
     canonical_form,
+    from_monomial,
     monomial,
-    raw_word,
-    reduce_word,
     unit,
 )
 from .errors import InputError, ParseError
 from .scalars import ONE, Scalar
 from .tensors import TensorElement, canonical_tensor_form
-
-
-# ---------------------------------------------------------------------------
-# AST
-
-@dataclass(frozen=True)
-class ScalarLit:
-    value: Scalar
-
-
-@dataclass(frozen=True)
-class GeneratorNode:
-    n: int
-    index: int
-    starred: bool
-
-
-@dataclass(frozen=True)
-class UnitNode:
-    n: int
-
-
-@dataclass(frozen=True)
-class ProductNode:
-    coeff: ScalarLit | None
-    factors: tuple
-
-
-@dataclass(frozen=True)
-class SumNode:
-    terms: tuple
-
-
-@dataclass(frozen=True)
-class AdjointNode:
-    inner: object
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +88,9 @@ def _tokenize(text: str):
 
 
 class _Parser:
+    """Recursive descent that evaluates as it reads: each rule returns its value."""
+
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
@@ -146,39 +109,39 @@ class _Parser:
             raise ParseError(f"expected {what or kind}, found {tok[1]!r}", tok[2])
         return tok
 
-    def parse(self) -> SumNode:
-        node = self.element()
+    def parse(self) -> AlgebraElement:
+        value = self.element()
         tok = self.peek()
         if tok[0] != "EOF":
             raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
-        return node
+        return value
 
-    def element(self):
+    def element(self) -> AlgebraElement:
         if self.peek()[0] == "INT" and self.peek()[1] == "0":
             save = self.pos
             self.advance()
             if self.peek()[0] in ("EOF", "RPAREN"):
-                return SumNode(())
+                return ZERO_ELEMENT
             self.pos = save
-        terms = [self.term()]
+        value = self.term()
         while self.peek()[0] == "PLUS":
             self.advance()
-            terms.append(self.term())
-        return SumNode(tuple(terms))
+            value = value + self.term()
+        return value
 
-    def term(self):
+    def term(self) -> AlgebraElement:
         coeff = None
         if self.peek()[0] == "LBRACK":
             coeff = self.scalar()
             if self.peek()[0] == "STAR":
                 self.advance()
-        factors = [self.factor()]
+        value = self.factor()
         while self.peek()[0] == "STAR":
             self.advance()
-            factors.append(self.factor())
-        return ProductNode(coeff, tuple(factors))
+            value = value * self.factor()
+        return value if coeff is None else value.scale(coeff)
 
-    def factor(self):
+    def factor(self) -> AlgebraElement:
         tok = self.peek()
         if tok[0] == "NAME" and tok[1] == "s":
             self.advance()
@@ -187,17 +150,22 @@ class _Parser:
             self.expect("COMMA", "','")
             i = int(self.expect("INT", "generator index")[1])
             self.expect("RPAREN", "')'")
-            starred = False
+            if n < 1:
+                raise InputError(f"generator s({n},{i}): component must be >= 1")
+            if not 1 <= i <= n:
+                raise InputError(f"generator s({n},{i}): index {i} out of range 1..{n}")
             if self.peek()[0] == "DAGGER":
                 self.advance()
-                starred = True
-            return GeneratorNode(n, i, starred)
+                return from_monomial(monomial(n, (), (i,)))
+            return from_monomial(monomial(n, (i,)))
         if tok[0] == "NAME" and tok[1] == "I":
             self.advance()
             self.expect("LPAREN", "'(' after I")
             n = int(self.expect("INT", "component index")[1])
             self.expect("RPAREN", "')'")
-            return UnitNode(n)
+            if n < 1:
+                raise InputError(f"unit I({n}): component must be >= 1")
+            return unit(n)
         if tok[0] == "LPAREN":
             self.advance()
             if self.depth == MAX_NESTING:
@@ -208,11 +176,11 @@ class _Parser:
             self.expect("RPAREN", "')'")
             if self.peek()[0] == "DAGGER":
                 self.advance()
-                return AdjointNode(inner)
+                return inner.adjoint()
             return inner
         raise ParseError(f"expected a factor, found {tok[1]!r}", tok[2])
 
-    def scalar(self) -> ScalarLit:
+    def scalar(self) -> Scalar:
         self.expect("LBRACK", "'['")
         re = self.rational()
         im = Fraction(0)
@@ -225,7 +193,7 @@ class _Parser:
             if name[1] != "i":
                 raise ParseError("expected 'i' after imaginary part", name[2])
         self.expect("RBRACK", "']'")
-        return ScalarLit(Scalar(re, im))
+        return Scalar(re, im)
 
     def rational(self) -> Fraction:
         sign = 1
@@ -242,45 +210,8 @@ class _Parser:
         return Fraction(sign * num, den)
 
 
-def parse_ast(text: str) -> SumNode:
-    return _Parser(text).parse()
-
-
-def eval_ast(node) -> AlgebraElement:
-    if isinstance(node, SumNode):
-        out = ZERO_ELEMENT
-        for term in node.terms:
-            out = out + eval_ast(term)
-        return out
-    if isinstance(node, ProductNode):
-        out = None
-        for factor in node.factors:
-            value = eval_ast(factor)
-            out = value if out is None else out * value
-        if out is None:
-            out = ZERO_ELEMENT
-        if node.coeff is not None:
-            out = out.scale(node.coeff.value)
-        return out
-    if isinstance(node, GeneratorNode):
-        if node.n < 1:
-            raise InputError(f"generator s({node.n},{node.index}): component must be >= 1")
-        if not 1 <= node.index <= node.n:
-            raise InputError(
-                f"generator s({node.n},{node.index}): index {node.index} out of range 1..{node.n}"
-            )
-        return reduce_word(raw_word(node.n, ((node.index, node.starred),)))
-    if isinstance(node, UnitNode):
-        if node.n < 1:
-            raise InputError(f"unit I({node.n}): component must be >= 1")
-        return unit(node.n)
-    if isinstance(node, AdjointNode):
-        return eval_ast(node.inner).adjoint()
-    raise TypeError(f"unknown AST node {node!r}")
-
-
 def parse_element(text: str) -> AlgebraElement:
-    return eval_ast(parse_ast(text))
+    return _Parser(text).parse()
 
 
 # ---------------------------------------------------------------------------

@@ -745,6 +745,10 @@ SUITE_NAMES = tuple(name for name, _ in _SUITES)
 
 
 def run_property_suite(cfg: SuiteConfig = SuiteConfig()) -> SuiteReport:
+    for name, least in (("bound", 1), ("max_component", 1), ("max_word_len", 0), ("sample_count", 0)):
+        value = getattr(cfg, name)
+        if value < least:
+            raise InputError(f"suite {name} must be >= {least}, got {value}")
     report = SuiteReport(cfg)
     for name, func in _SUITES:
         failures: list[str] = []

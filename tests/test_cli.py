@@ -1,4 +1,10 @@
+import contextlib
+import io
+import time
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from cuntzsum.cli import build_parser, main
 
@@ -62,6 +68,9 @@ class TestQueries:
         assert code == 0 and out == "true\n"
         code, out, _ = run(capsys, "member", "--coprimes", "2", "--n", "15")
         assert code == 0 and out == "true\n"
+        # the largest prime below monoids.MAX_FACTOR
+        code, out, _ = run(capsys, "member", "--primes", "2", "--n", "999999999989")
+        assert code == 0 and out == "false\n"
 
     def test_classify_counterexample(self, capsys):
         code, out, _ = run(capsys, "classify", "--set", "list:1,4,16,64", "--bound", "100")
@@ -127,6 +136,12 @@ class TestErrors:
     def test_parse_error_exit_2(self, capsys):
         code, _, err = run(capsys, "norm", "s(2,1) +")
         assert code == 2 and "error:" in err
+        # a domain error met before a later syntax error is the one reported
+        code, _, err = run(capsys, "norm", "s(2,5) +")
+        assert code == 2 and "s(2,5)" in err
+        # lexical errors come first
+        code, _, err = run(capsys, "norm", "s(2,5) + @")
+        assert code == 2 and "'@'" in err
 
     def test_index_error_exit_2(self, capsys):
         code, _, err = run(capsys, "norm", "s(1,2)")
@@ -137,6 +152,8 @@ class TestErrors:
         assert code == 2
         code, _, err = run(capsys, "deltaH", "--primes-powers", "4", "s(2,1)")
         assert code == 2
+        code, _, err = run(capsys, "deltaH", "--primes-powers", "0", "I(1)")
+        assert code == 2 and err == "error: power submonoid needs base >= 2, got 0\n"
 
     def test_unknown_command_exit_2(self, capsys):
         # argparse raises SystemExit on unknown subcommands; main converts
@@ -146,6 +163,30 @@ class TestErrors:
 
     def test_usage_exit_2(self, capsys):
         assert main([]) == 2
+
+    @pytest.mark.parametrize(
+        "flag", [("--max-component", "0"), ("--max-component", "-3"),
+                 ("--max-word-len", "-1"), ("--bound", "0"), ("--samples", "-1")],
+    )
+    def test_bad_suite_config_exit_2_before_any_suite(self, capsys, flag):
+        code, out, err = run(capsys, "suite", *flag)
+        assert code == 2 and out == ""
+        assert err.startswith("error: suite ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("member", "--primes", "2", "--n", "1000000000000000003"),
+            ("delta", "I(1000000000000000003)"),
+            ("deltaH", "--primes", "1000000000000000003", "I(1)"),
+        ],
+    )
+    def test_factorization_beyond_limit_exit_2(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_deep_nesting_exit_2(self, capsys):
         code, out, err = run(capsys, "norm", "(" * 5000 + "s(2,1)" + ")" * 5000)
@@ -211,3 +252,96 @@ class TestDeterminism:
             fresh.append(run(capsys, *argv))
         assert shared == fresh
         assert [code for code, _, _ in shared] == [0, 2, 0, 2, 0, 2, 0, 2, 0]
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: every subcommand but ``suite`` exits 0, 1 or 2, without a
+# traceback and within a bounded time, on short inputs.
+
+_GRAMMAR_ALPHABET = "sIi0123456789()[],+-*/^ "
+_ints = st.integers(-2, 12).map(str)
+_atoms = st.one_of(
+    st.integers(1, 6).flatmap(
+        lambda n: st.builds(
+            lambda i, star: f"s({n},{i})" + ("^*" if star else ""),
+            st.integers(1, n), st.booleans(),
+        )
+    ),
+    st.integers(1, 6).map("I({})".format),
+)
+_terms = st.builds(
+    lambda coeff, factors: coeff + "*".join(factors),
+    st.sampled_from(["", "[2] * ", "[-1/2+1i] ", "[0] * "]),
+    st.lists(_atoms, min_size=1, max_size=3),
+)
+_sums = st.lists(_terms, min_size=1, max_size=3).map(" + ".join)
+_expressions = st.one_of(
+    st.text(_GRAMMAR_ALPHABET, max_size=40),
+    st.just("0"),
+    _sums,
+    _sums.map("({})^*".format),
+    st.builds("{} + {}".format, _sums, st.sampled_from(["s(0,1)", "s(2,3)", "I(0)", "s(2,1) +"])),
+)
+_int_lists = st.one_of(
+    st.lists(st.sampled_from([2, 3, 5, 7, 11]), max_size=3).map(lambda xs: ",".join(map(str, xs))),
+    st.lists(st.integers(-2, 12), max_size=3).map(lambda xs: ",".join(map(str, xs))),
+    st.text(_GRAMMAR_ALPHABET, max_size=12),
+)
+_set_specs = st.one_of(
+    st.builds("{}:{}".format, st.sampled_from(["primes", "coprimes", "list", "bogus"]), _int_lists),
+    st.text(_GRAMMAR_ALPHABET + ":", max_size=12),
+)
+_bounds = st.integers(-2, 200).map(str)
+_prime_choice = st.one_of(
+    st.tuples(st.sampled_from(["--primes", "--coprimes"]), _int_lists),
+    st.just(()),
+)
+
+
+def _flat(*parts):
+    out = []
+    for part in parts:
+        out.extend((part,) if isinstance(part, str) else part)
+    return out
+
+
+_COMMANDS = {
+    "norm": st.tuples(_expressions),
+    "eq": st.tuples(_expressions, _expressions),
+    "delta": st.tuples(_expressions),
+    "deltaH": st.tuples(
+        st.one_of(_prime_choice, st.tuples(st.just("--primes-powers"), _ints), st.just(("--all",))),
+        _expressions,
+    ),
+    "eps": st.tuples(_expressions),
+    "coassoc": st.tuples(_expressions),
+    "counitlaws": st.tuples(_expressions),
+    "wcs": st.tuples(_ints, _ints, _ints, _expressions),
+    "phi": st.tuples(_ints, _ints, _expressions),
+    "classify": st.tuples(st.just("--set"), _set_specs, st.just("--bound"), _bounds),
+    "member": st.tuples(_prime_choice, st.just("--n"), _ints),
+    "decompose": st.tuples(_prime_choice, _expressions),
+    "quotient": st.tuples(_prime_choice, _expressions, _expressions),
+    "lattice": st.tuples(st.just("--f"), _set_specs, st.just("--g"), _set_specs, st.just("--bound"), _bounds),
+}
+_argvs = st.one_of(
+    [
+        st.builds(
+            lambda name, args, fmt: [name, *_flat(*args), *fmt],
+            st.just(name), args, st.sampled_from([(), ("--format", "machine")]),
+        )
+        for name, args in _COMMANDS.items()
+    ]
+)
+
+
+@given(_argvs)
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_commands_exit_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert time.perf_counter() - start < 5.0, argv
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv

@@ -76,6 +76,11 @@ class TestParser:
             parse_element("s(2 1)")
         with pytest.raises(ParseError):
             parse_element("[1/0] * I(1)")
+        # lexical errors come first; then the first error in reading order
+        with pytest.raises(ParseError, match="'@'"):
+            parse_element("s(2,5) + @")
+        with pytest.raises(ParseError):
+            parse_element("s(2,1) + + s(2,5)")
 
     def test_nesting_bound(self):
         depth = exprs.MAX_NESTING
@@ -88,6 +93,8 @@ class TestParser:
             parse_element("s(2,3)")
         with pytest.raises(InputError, match=r"s\(1,2\)"):
             parse_element("s(1,2)")
+        with pytest.raises(InputError, match=r"s\(2,5\)"):
+            parse_element("s(2,5) +")  # reported before the syntax error after it
         with pytest.raises(InputError):
             parse_element("I(0)")
 

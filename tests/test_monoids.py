@@ -45,6 +45,15 @@ class TestFactorization:
             assert factors == sorted(factors)
             assert all(is_prime(p) for p in factors)
 
+    def test_factorization_limit(self):
+        from cuntzsum.monoids import MAX_FACTOR
+
+        assert is_prime(999999999989)  # the largest prime below the limit
+        assert divisor_pairs(MAX_FACTOR)[-1] == (MAX_FACTOR, 1)
+        for func in (prime_factorize, divisor_pairs, is_prime):
+            with pytest.raises(InputError, match="<= 1000000000000"):
+                func(MAX_FACTOR + 1)
+
     def test_unit_is_not_prime(self):
         assert not is_prime(1)
         assert is_prime(2)
@@ -83,6 +92,7 @@ class TestPrimeSet:
         assert PrimeSet.finite([2]).union(PrimeSet.finite([3])) == PrimeSet.finite([2, 3])
         assert PrimeSet.finite([2, 3]).intersection(PrimeSet.finite([3, 5])) == PrimeSet.finite([3])
         assert PrimeSet.excluding([2]).intersection(PrimeSet.excluding([3])) == PrimeSet.excluding([2, 3])
+        assert PrimeSet.excluding([2, 3]).union(PrimeSet.excluding([3, 5])) == PrimeSet.excluding([3])
 
     def test_meet_verified_by_membership(self):
         g = PrimeSet.excluding([2])
@@ -96,6 +106,8 @@ class TestPrimeSet:
         assert PrimeSet.finite([2]).issubset(PrimeSet.finite([2, 5]))
         assert PrimeSet.finite([3]).issubset(PrimeSet.excluding([2]))
         assert not PrimeSet.excluding([2]).issubset(PrimeSet.finite([2, 3]))
+        assert PrimeSet.excluding([2, 3]).issubset(PrimeSet.excluding([3]))
+        assert not PrimeSet.excluding([3]).issubset(PrimeSet.excluding([2, 3]))
         assert PrimeSet.finite([2]).separating_prime(PrimeSet.finite([2, 5])) == 5
         assert PrimeSet.finite([2]).separating_prime(PrimeSet.finite([2])) is None
         # finite vs cofinite always differ, beyond the listed primes if needed

@@ -7,10 +7,13 @@ combination of monomials ``s_mu s_nu^*`` with Gaussian-rational
 coefficients, supported on finitely many components, and monomials in
 different components multiply to zero.
 
-Equality of elements is decidable: within one component and one gauge
-degree ``|mu| - |nu|``, monomials of a fixed nu-length are linearly
-independent, and every monomial expands to the common nu-length via
-``s_mu s_nu^* = sum_gamma s_{mu gamma} s_{nu gamma}^*``.
+Equality of elements is decidable.  Within one component and one gauge
+degree ``|mu| - |nu|``, the monomials form a forest under refinement,
+``s_mu s_nu^* = sum_i s_{mu i} s_{nu i}^*``, and monomials on an antichain
+of that forest are linearly independent (the normal form of the Cuntz
+relations).  Equality and canonical form push each term down only along
+the paths that lead to deeper terms, at about ``n`` terms per level
+crossed, rather than expanding every term to the deepest nu-length.
 """
 
 from __future__ import annotations
@@ -235,8 +238,8 @@ class LinearCombination:
         return ((legs(k), c) for k, c in self._terms.items())
 
     def equals(self, other) -> bool:
-        diff = self - other
-        return diff.is_zero() or grouped_expansion_is_zero(diff._leg_items())
+        """Exact equality, legwise as in `equals`."""
+        return _vanishes(self - other)
 
     def __repr__(self):
         if not self._terms:
@@ -379,8 +382,10 @@ def _refinements(mono: CuntzMonomial, level: int) -> Iterator[CuntzMonomial]:
 def expand_to_level(x: AlgebraElement, n: int, k: int) -> AlgebraElement:
     """Replace every component-n monomial by its level-k refinements.
 
-    The result equals ``x`` in the algebra.  Component 1 is returned
-    unchanged; a monomial already deeper than ``k`` is an input error.
+    A reference expansion, costing ``n^gap`` terms per monomial: `equals`
+    and `canonical_form` never call it.  The result equals ``x`` in the
+    algebra.  Component 1 is returned unchanged; a monomial already deeper
+    than ``k`` is an input error.
     """
     if n == 1:
         return x
@@ -397,41 +402,81 @@ def expand_to_level(x: AlgebraElement, n: int, k: int) -> AlgebraElement:
     return AlgebraElement._raw(data)
 
 
-def _expanded_groups(terms) -> Iterator[dict]:
-    """The nonzero level-expanded groups of a sum of monomial tuples.
+def _push_down(group: dict, pos: int) -> None:
+    """Refine leg ``pos`` of one group until its values form an antichain, in place.
+
+    ``group`` maps monomial tuples of one (component, degree) signature to
+    nonzero coefficients.  With ``s_mu s_nu^*`` the parent of
+    ``s_{mu i} s_{nu i}^*``, every strict ancestor of every value of leg
+    ``pos`` in the group is marked.  Then, shallowest first, each key whose
+    leg is marked gives its coefficient to the ``n`` keys with that leg
+    refined one level, until no key's leg is marked.  The marks come from
+    the whole group, not from the keys that share the other legs: with
+    ``p_i = s_i s_i^*`` in component 2, ``I (x) I - sum_ij p_i (x) p_j``
+    is zero, yet no two of its keys with one leg in common are comparable.
+    """
+    marked: set[CuntzMonomial] = set()
+    for legs in group:
+        n, mu, nu = legs[pos]
+        while mu and nu and mu[-1] == nu[-1]:
+            mu, nu = mu[:-1], nu[:-1]
+            parent = CuntzMonomial(n, mu, nu)
+            if parent in marked:
+                break  # its ancestors are marked already
+            marked.add(parent)
+    by_level: dict[int, list[tuple]] = {}
+    for legs in group:
+        if legs[pos] in marked:
+            by_level.setdefault(len(legs[pos].nu), []).append(legs)
+    while by_level:
+        level = min(by_level)
+        for legs in by_level.pop(level):
+            coeff = group.pop(legs, None)
+            if coeff is None:
+                continue  # cancelled, or queued twice
+            n, mu, nu = legs[pos]
+            head, tail = legs[:pos], legs[pos + 1:]
+            children = [
+                head + (CuntzMonomial(n, mu + (i,), nu + (i,)),) + tail
+                for i in range(1, n + 1)
+            ]
+            _accumulate(group, zip(children, repeat(coeff)))
+            for child in children:
+                if child[pos] in marked:
+                    by_level.setdefault(level + 1, []).append(child)
+
+
+def _pushed_down_groups(terms) -> Iterator[dict]:
+    """The nonzero pushed-down groups of a sum of monomial tuples.
 
     ``terms`` yields ``(legs, coeff)`` with distinct ``legs``, each a tuple
     of monomials, and nonzero ``coeff``.  Terms are grouped by per-leg
-    component and gauge degree; within a group every leg expands to the
-    group's maximal nu-length, where monomials are linearly independent.
-    Yields each group's map from expanded legs to coefficient, skipping
-    groups that cancel to zero.  A lone term needs no expansion.
+    component and gauge degree, and every leg outside component 1 is
+    pushed down over its group (`_push_down`).  The keys left in a group
+    lie in a product of per-leg antichains of the refinement trees, where
+    monomials are linearly independent, so a group is zero exactly when it
+    is empty.  Yields each nonzero group; a lone term is never refined.
     """
-    groups: dict[tuple, list] = {}
+    groups: dict[tuple, dict] = {}
     for legs, coeff in terms:
-        key = tuple((m.n, m.degree) for m in legs)
-        groups.setdefault(key, []).append((legs, coeff))
-    for group in groups.values():
-        if len(group) == 1:
-            yield dict(group)
-            continue
-        levels = [max(len(m.nu) for m in leg) for leg in zip(*(legs for legs, _ in group))]
-        leaves: dict[tuple, Scalar] = {}
-        for legs, coeff in group:
-            _accumulate(leaves, zip(product(*map(_refinements, legs, levels)), repeat(coeff)))
-        if leaves:
-            yield leaves
+        signature = tuple((m.n, m.degree) for m in legs)
+        groups.setdefault(signature, {})[legs] = coeff
+    for signature, group in groups.items():
+        if len(group) > 1:
+            for pos, (n, _) in enumerate(signature):
+                if n != 1:
+                    _push_down(group, pos)
+        if group:
+            yield group
 
 
-def grouped_expansion_is_zero(terms) -> bool:
-    """Decide whether a linear combination of monomial tuples vanishes."""
-    return next(_expanded_groups(terms), None) is None
+def _vanishes(x: LinearCombination) -> bool:
+    return x.is_zero() or next(_pushed_down_groups(x._leg_items()), None) is None
 
 
 def equals(x: AlgebraElement, y: AlgebraElement) -> bool:
-    """Exact equality in the algebra, via graded level expansion."""
-    diff = x - y
-    return diff.is_zero() or grouped_expansion_is_zero(diff._leg_items())
+    """Exact equality in the algebra: ``x - y`` pushes down to no terms."""
+    return _vanishes(x - y)
 
 
 def _collapse_siblings(leaves: dict[CuntzMonomial, Scalar]) -> bool:
@@ -473,13 +518,16 @@ def _collapse_siblings(leaves: dict[CuntzMonomial, Scalar]) -> bool:
 def canonical_form(x: AlgebraElement) -> AlgebraElement:
     """Unique compact representative of the equality class of ``x``.
 
-    Per component and gauge degree: expand to the maximal nu-length, then
-    collapse complete sibling families with a shared coefficient into
-    their parent, deepest first.  The pass is deterministic, so the output
-    is a canonical form, and it equals ``x`` in the algebra.
+    Per component and gauge degree: push the terms down to an antichain of
+    the refinement tree (`_push_down`), then collapse complete sibling
+    families with a shared coefficient into their parent, deepest first.
+    This is the form the full expansion to the maximal nu-length would
+    collapse to, since that expansion refines each antichain node to
+    leaves that all carry its coefficient.  The pass is deterministic, so
+    the output is a canonical form, and it equals ``x`` in the algebra.
     """
     out: dict[CuntzMonomial, Scalar] = {}
-    for leaves in _expanded_groups(x._leg_items()):
+    for leaves in _pushed_down_groups(x._leg_items()):
         group = {legs[0]: c for legs, c in leaves.items()}
         _collapse_siblings(group)
         out.update(group)

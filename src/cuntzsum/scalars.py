@@ -99,6 +99,9 @@ class Scalar:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
+        # A real scalar equals its Fraction (and int), so it hashes like one.
+        if self.im == 0:
+            return hash(self.re)
         return hash((self.re, self.im))
 
     def literal(self) -> str:

@@ -56,6 +56,7 @@ from .exprs import (
 )
 from .monoids import (
     FREE_MONOID_AB,
+    MAX_BOUND,
     NATURALS,
     PowerSubmonoid,
     PrimeSet,
@@ -749,6 +750,8 @@ def run_property_suite(cfg: SuiteConfig = SuiteConfig()) -> SuiteReport:
         value = getattr(cfg, name)
         if value < least:
             raise InputError(f"suite {name} must be >= {least}, got {value}")
+    if cfg.bound > MAX_BOUND:  # caught here, before the first suite, not at a window
+        raise InputError(f"suite bound must be <= {MAX_BOUND}, got {cfg.bound}")
     report = SuiteReport(cfg)
     for name, func in _SUITES:
         failures: list[str] = []

@@ -3,8 +3,9 @@
 A tensor element is a finite map from tuples of monomials (one per leg)
 to nonzero scalars, on the same sparse core as `AlgebraElement`.  Leg
 products in different components vanish, the adjoint acts legwise, and
-equality and canonical form use the same graded level expansion and
-sibling collapse as the base algebra, applied per leg.
+equality and canonical form use the same push-down and sibling collapse
+as the base algebra, applied per leg: each leg is pushed down over its
+whole group, so the keys left lie in a product of per-leg antichains.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from .algebra import (
     AlgebraElement,
     LinearCombination,
     _collapse_siblings,
-    _expanded_groups,
+    _pushed_down_groups,
     monomial,
 )
 from .scalars import ONE, Scalar
@@ -71,17 +72,18 @@ def _collapse_leg(leaves: dict, pos: int) -> bool:
     return changed
 
 
-def canonical_tensor_form(t: TensorElement) -> TensorElement:
+def canonical_tensor_form(t: LinearCombination) -> LinearCombination:
     """Deterministic compact representative of a tensor's equality class.
 
-    Per group of (component, degree) leg signatures: expand every leg to
-    the group's maximal nu-length, then alternate sibling collapses on
-    the legs until nothing moves.
+    Per group of (component, degree) leg signatures: push every leg down
+    over the group to an antichain, then alternate sibling collapses on
+    the legs until nothing moves.  The result is the one the full
+    expansion of every leg to the group's maximal nu-length collapses to.
     """
     out: dict[tuple, Scalar] = {}
-    for leaves in _expanded_groups(t.items()):
+    for leaves in _pushed_down_groups(t.items()):
         width = len(next(iter(leaves)))
         while any(_collapse_leg(leaves, pos) for pos in range(width)):
             pass
         out.update(leaves)
-    return TensorElement._raw(out)
+    return type(t)._raw(out)

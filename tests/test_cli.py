@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from cuntzsum.cli import build_parser, main
+from cuntzsum.monoids import MAX_BOUND
 
 
 def run(capsys, *argv):
@@ -166,12 +167,26 @@ class TestErrors:
 
     @pytest.mark.parametrize(
         "flag", [("--max-component", "0"), ("--max-component", "-3"),
-                 ("--max-word-len", "-1"), ("--bound", "0"), ("--samples", "-1")],
+                 ("--max-word-len", "-1"), ("--bound", "0"), ("--samples", "-1"),
+                 ("--bound", "100001"), ("--bound", "1000000000")],
     )
     def test_bad_suite_config_exit_2_before_any_suite(self, capsys, flag):
         code, out, err = run(capsys, "suite", *flag)
         assert code == 2 and out == ""
         assert err.startswith("error: suite ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("bound", [MAX_BOUND + 1, 10**6, 10**9])
+    @pytest.mark.parametrize(
+        "argv",
+        [("classify", "--set", "primes:2"), ("classify", "--set", "list:1,4"),
+         ("lattice", "--f", "primes:2", "--g", "primes:3")],
+    )
+    def test_window_bound_above_max_exits_2_fast(self, capsys, argv, bound):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--bound", str(bound))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err == f"error: window bound must be in 1..{MAX_BOUND}, got {bound}\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -291,7 +306,7 @@ _set_specs = st.one_of(
     st.builds("{}:{}".format, st.sampled_from(["primes", "coprimes", "list", "bogus"]), _int_lists),
     st.text(_GRAMMAR_ALPHABET + ":", max_size=12),
 )
-_bounds = st.integers(-2, 200).map(str)
+_bounds = st.one_of(st.integers(-2, 200), st.integers(MAX_BOUND + 1, 10**9)).map(str)
 _prime_choice = st.one_of(
     st.tuples(st.sampled_from(["--primes", "--coprimes"]), _int_lists),
     st.just(()),
@@ -342,6 +357,9 @@ def test_fuzzed_commands_exit_cleanly(argv):
     start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    assert time.perf_counter() - start < 5.0, argv
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0, argv
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue(), argv
+    if "--bound" in argv and int(argv[argv.index("--bound") + 1]) > MAX_BOUND:
+        assert code == 2 and elapsed < 1.0, argv

@@ -1,5 +1,9 @@
 """Differential tests of the sparse core against the dense reference engines."""
 
+import contextlib
+import io
+import time
+from fractions import Fraction
 from itertools import product
 from random import Random
 
@@ -10,10 +14,15 @@ from hypothesis import given, settings
 from conftest import elements, scalars
 from cuntzsum import (
     AlgebraElement,
+    Scalar,
+    TensorElement,
+    TripleTensorElement,
     canonical_form,
     canonical_tensor_form,
     delta,
     from_monomial,
+    lift_left,
+    lift_right,
     monomial,
     render_element,
     render_tensor,
@@ -23,6 +32,7 @@ from cuntzsum import (
     unit,
 )
 from cuntzsum import exprs
+from cuntzsum.cli import main
 from dense_reference import dense_canonical_form, dense_canonical_tensor_form, refinements
 
 
@@ -92,3 +102,124 @@ def test_deep_decomposition_of_a_unit():
     assert render_element(bumped) == reference_strings(
         bumped, dense_canonical_form, render_element, serialize_element, "canonical_form"
     )[0]
+
+
+@st.composite
+def hidden_zeros(draw):
+    """``y - y'``, where ``y'`` splits every term of ``y`` into its children:
+    zero in the algebra, but not term by term."""
+    y = draw(component_sums())
+    split = AlgebraElement(
+        (leaf, coeff) for mono, coeff in y.items() for leaf in refinements(mono, len(mono.nu) + 1)
+    )
+    return y - split
+
+
+@given(component_sums(), hidden_zeros(), component_sums(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_width_three_equality_matches_dense_engine(x, zero, e, perturb):
+    """The two sides of coassociativity, the right one built from ``x`` plus
+    a hidden zero, and plus a perturbation half the time."""
+    left = lift_left(delta, delta(x))
+    right = lift_right(delta, delta(x + zero + e if perturb else x + zero))
+    dense_zero = dense_canonical_tensor_form(left - right).is_zero()
+    assert left.equals(right) == dense_zero
+    assert right.equals(left) == dense_zero
+    if not perturb:
+        assert dense_zero
+
+
+def _projections(n):
+    return [monomial(n, (i,), (i,)) for i in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("width", [2, 3])
+def test_whole_group_push_down_at_every_width(width):
+    """``I(2)^(x)w = sum p_i (x) p_j ...``: no two of the right side's keys
+    with a leg in common are comparable, so a push-down per bucket of the
+    other legs would miss the identity."""
+    cls = TensorElement if width == 2 else TripleTensorElement
+    whole = cls({(monomial(2),) * width: 1})
+    split = cls({legs: 1 for legs in product(_projections(2), repeat=width)})
+    assert whole.equals(split) and split.equals(whole)
+    assert (whole - split).equals(cls())
+    bumped = split + cls({(monomial(2, (2,), (2,)),) * width: Fraction(1, 2)})
+    assert not whole.equals(bumped) and not bumped.equals(whole)
+    # One leg kept whole on both sides, the others split.
+    mixed = cls({(monomial(2),) + legs: 1 for legs in product(_projections(2), repeat=width - 1)})
+    assert whole.equals(mixed)
+    assert not mixed.equals(split + cls({(monomial(2),) * width: 1}))
+    assert canonical_tensor_form(split) == canonical_tensor_form(whole) == whole
+
+
+def _term_text(n, word, coeff):
+    factors = [f"s({n},{i})" for i in word] + [f"s({n},{i})^*" for i in reversed(word)]
+    return f"[{coeff.literal()}] * " + "*".join(factors)
+
+
+def _decomposition(n, k, rng):
+    """Words w with sum_w s_w s_w^* = I(n), refined along a random path of depth k."""
+    path, words = (), []
+    for depth in range(k):
+        step = rng.randint(1, n)
+        words += [path + (i,) for i in range(1, n + 1) if i != step or depth == k - 1]
+        path += (step,)
+    rng.shuffle(words)
+    return words
+
+
+def _run(*argv):
+    out = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return code, out.getvalue(), time.perf_counter() - start
+
+
+@pytest.mark.parametrize("n, k", [(24, 4), (100, 3), (8, 6), (24, 6), (100, 8), (2, 40)])
+def test_deep_decomposition_of_a_scaled_unit_is_fast(n, k):
+    """``c I(n)`` against ``(n - 1) k + 1`` projections: the dense expansion
+    makes ``n^(k-1)`` leaves of each shallow term, the push-down about ``n k``."""
+    rng = Random(n * 1000 + k)
+    c = Scalar(Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9)), Fraction(rng.randint(-9, 9), 7))
+    words = _decomposition(n, k, rng)
+    assert len(words) == (n - 1) * k + 1
+    whole = f"[{c.literal()}] * I({n})"
+    split = " + ".join(_term_text(n, w, c) for w in words)
+    pos = rng.randrange(len(words))
+    bumped = " + ".join(
+        _term_text(n, w, c + Fraction(1, 2) if j == pos else c) for j, w in enumerate(words)
+    )
+    for argv, expected in (
+        (("eq", whole, split), (0, "true\n")),
+        (("eq", bumped, whole), (1, "false\n")),
+        (("norm", split), (0, whole + "\n")),
+    ):
+        code, out, seconds = _run(*argv)
+        assert (code, out) == expected
+        assert seconds < 2.0, (argv[0], seconds)
+
+
+def _gap_two_sum(n):
+    """Two terms of gauge degree 1 in component n, nu-lengths 0 and 2."""
+    return AlgebraElement({
+        monomial(n, (1,), ()): Scalar(Fraction(2, 3), 1),
+        monomial(n, (2, n, 3), (n, 3)): Scalar(-1, Fraction(1, 2)),
+    })
+
+
+def test_rendered_delta_of_a_gap_two_sum_matches_dense_engine():
+    t = delta(_gap_two_sum(60))
+    expected = reference_strings(
+        t, dense_canonical_tensor_form, render_tensor, serialize_tensor, "canonical_tensor_form"
+    )
+    assert (render_tensor(t), serialize_tensor(t)) == expected
+
+
+def test_rendered_delta_of_a_gap_two_sum_is_fast():
+    t = delta(_gap_two_sum(360))
+    start = time.perf_counter()
+    render_tensor(t)
+    assert time.perf_counter() - start < 2.0
+    canon = canonical_tensor_form(t)
+    assert canon.equals(t) and canonical_tensor_form(canon) == canon

@@ -60,3 +60,20 @@ def test_field_laws(a, b, c):
     assert a.conjugate().conjugate() == a
     if not a.is_zero():
         assert a * a.inverse() == Scalar(1)
+
+
+def test_real_scalars_hash_like_their_fractions():
+    for value in (1, 0, -3, Fraction(1, 2), Fraction(-7, 3)):
+        assert Scalar(value) == value
+        assert hash(Scalar(value)) == hash(value) == hash(Fraction(value))
+    assert len({Scalar(1), 1}) == 1
+    assert len({Scalar(Fraction(1, 2)), Fraction(1, 2)}) == 1
+    assert {Scalar(2): "two"}[2] == "two"
+
+
+@given(scalars(), scalars())
+def test_equal_scalars_hash_equal(a, b):
+    if a == b:
+        assert hash(a) == hash(b)
+    if a.im == 0:
+        assert hash(a) == hash(a.re)

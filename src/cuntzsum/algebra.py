@@ -37,10 +37,6 @@ class CuntzMonomial(NamedTuple):
     def degree(self) -> int:
         return len(self.mu) - len(self.nu)
 
-    @property
-    def level(self) -> int:
-        return len(self.nu)
-
     def is_unit(self) -> bool:
         return not self.mu and not self.nu
 
@@ -52,16 +48,19 @@ class CuntzMonomial(NamedTuple):
         return (self.n, self.degree, len(self.nu), self.nu, self.mu)
 
 
+def _check_letters(n: int, letters: Iterable[int]) -> None:
+    for letter in letters:
+        if not 1 <= letter <= n:
+            raise InputError(f"letter {letter} out of range 1..{n} in component {n}")
+
+
 def monomial(n: int, mu: Iterable[int] = (), nu: Iterable[int] = ()) -> CuntzMonomial:
     """Validating constructor; collapses every component-1 word to I_1."""
     mu = tuple(mu)
     nu = tuple(nu)
     if n < 1:
         raise InputError(f"component index must be >= 1, got {n}")
-    for word in (mu, nu):
-        for letter in word:
-            if not 1 <= letter <= n:
-                raise InputError(f"letter {letter} out of range 1..{n} in component {n}")
+    _check_letters(n, mu + nu)
     if n == 1:
         return CuntzMonomial(1, (), ())
     return CuntzMonomial(n, mu, nu)
@@ -78,9 +77,7 @@ def raw_word(n: int, letters: Iterable[tuple[int, bool]]) -> RawWord:
     letters = tuple((int(i), bool(star)) for i, star in letters)
     if n < 1:
         raise InputError(f"component index must be >= 1, got {n}")
-    for i, _ in letters:
-        if not 1 <= i <= n:
-            raise InputError(f"letter {i} out of range 1..{n} in component {n}")
+    _check_letters(n, (i for i, _ in letters))
     return RawWord(n, letters)
 
 
@@ -237,6 +234,13 @@ class LinearCombination:
         legs = self._legs
         return ((legs(k), c) for k, c in self._terms.items())
 
+    def restrict(self, keep):
+        """The terms whose every leg lies in a component ``n`` with ``keep(n)``."""
+        legs = self._legs
+        return type(self)._raw(
+            {k: c for k, c in self._terms.items() if all(keep(m.n) for m in legs(k))}
+        )
+
     def equals(self, other) -> bool:
         """Exact equality, legwise as in `equals`."""
         return _vanishes(self - other)
@@ -267,13 +271,6 @@ class AlgebraElement(LinearCombination):
 
     def support_components(self) -> set[int]:
         return {m.n for m in self._terms}
-
-    def component(self, n: int) -> "AlgebraElement":
-        return AlgebraElement._raw({m: c for m, c in self._terms.items() if m.n == n})
-
-    def restrict(self, keep) -> "AlgebraElement":
-        """Sub-element of terms whose component satisfies ``keep(n)``."""
-        return AlgebraElement._raw({m: c for m, c in self._terms.items() if keep(m.n)})
 
     def __mul__(self, other):
         if isinstance(other, (int, Scalar)):
@@ -330,9 +327,7 @@ def reduction_trace(word: RawWord) -> list[int]:
 
 
 def _validated_letters(word: RawWord):
-    for i, _ in word.letters:
-        if not 1 <= i <= word.n:
-            raise InputError(f"letter {i} out of range 1..{word.n} in component {word.n}")
+    _check_letters(word.n, (i for i, _ in word.letters))
     return list(word.letters)
 
 
@@ -515,23 +510,49 @@ def _collapse_siblings(leaves: dict[CuntzMonomial, Scalar]) -> bool:
     return changed
 
 
-def canonical_form(x: AlgebraElement) -> AlgebraElement:
-    """Unique compact representative of the equality class of ``x``.
+def _collapse_leg(leaves: dict, pos: int) -> bool:
+    """Sibling collapse on leg ``pos`` with the other legs held fixed, in place.
 
-    Per component and gauge degree: push the terms down to an antichain of
-    the refinement tree (`_push_down`), then collapse complete sibling
-    families with a shared coefficient into their parent, deepest first.
-    This is the form the full expansion to the maximal nu-length would
-    collapse to, since that expansion refines each antichain node to
-    leaves that all carry its coefficient.  The pass is deterministic, so
-    the output is a canonical form, and it equals ``x`` in the algebra.
+    Returns True when anything collapsed.
     """
-    out: dict[CuntzMonomial, Scalar] = {}
+    buckets: dict[tuple, dict] = {}
+    for legs, coeff in leaves.items():
+        buckets.setdefault(legs[:pos] + legs[pos + 1:], {})[legs[pos]] = coeff
+    changed = False
+    for bucket in buckets.values():
+        changed = _collapse_siblings(bucket) or changed
+    if changed:
+        leaves.clear()
+        for others, bucket in buckets.items():
+            head, tail = others[:pos], others[pos:]
+            leaves.update((head + (mono,) + tail, c) for mono, c in bucket.items())
+    return changed
+
+
+def _canonical_terms(x: LinearCombination) -> dict:
+    """The canonical terms of ``x`` at any width, keyed by leg tuples.
+
+    Per group of (component, degree) leg signatures: push every leg down
+    over the group to an antichain (`_push_down`), then alternate sibling
+    collapses on the legs, deepest first, until nothing moves.  This is
+    the form the full expansion of every leg to the group's maximal
+    nu-length collapses to, since that expansion refines each antichain
+    node to leaves that all carry its coefficient.  The pass is
+    deterministic, so the result is a canonical form, and it equals ``x``
+    in the algebra.
+    """
+    out: dict[tuple, Scalar] = {}
     for leaves in _pushed_down_groups(x._leg_items()):
-        group = {legs[0]: c for legs, c in leaves.items()}
-        _collapse_siblings(group)
-        out.update(group)
-    return AlgebraElement._raw(out)
+        width = len(next(iter(leaves)))
+        while any(_collapse_leg(leaves, pos) for pos in range(width)):
+            pass
+        out.update(leaves)
+    return out
+
+
+def canonical_form(x: AlgebraElement) -> AlgebraElement:
+    """Unique compact representative of the equality class of ``x`` (`_canonical_terms`)."""
+    return AlgebraElement._raw({legs[0]: c for legs, c in _canonical_terms(x).items()})
 
 
 def coefficient_extract(x: AlgebraElement, n: int, mu, nu) -> Scalar:

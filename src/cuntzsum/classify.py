@@ -28,7 +28,6 @@ from .monoids import (
     _check_subsemigroup,
     window_of,
 )
-from .tensors import TensorElement
 
 
 class Classification(NamedTuple):
@@ -101,16 +100,6 @@ def decompose(x: AlgebraElement, prime_set: PrimeSet) -> Decomposition:
     return Decomposition(inside, outside)
 
 
-def _project_tensor(u: TensorElement, keep) -> TensorElement:
-    return TensorElement._raw(
-        {
-            legs: c
-            for legs, c in u.items()
-            if keep(legs[0].n) and keep(legs[1].n)
-        }
-    )
-
-
 def quotient_morphism_check(prime_set: PrimeSet, x: AlgebraElement, y: AlgebraElement) -> bool:
     """The projection onto the generated components is a bialgebra morphism."""
     view = SubmonoidView(prime_set)
@@ -120,7 +109,7 @@ def quotient_morphism_check(prime_set: PrimeSet, x: AlgebraElement, y: AlgebraEl
         return False
     if not proj(x.adjoint()).equals(px.adjoint()):
         return False
-    if not _project_tensor(delta(x), view.contains).equals(delta_restricted(view, px)):
+    if not delta(x).restrict(view.contains).equals(delta_restricted(view, px)):
         return False
     return counit(px) == counit(x)
 

@@ -24,6 +24,7 @@ from .algebra import (
     AlgebraElement,
     CuntzMonomial,
     ZERO_ELEMENT,
+    _accumulate,
     canonical_form,
     from_monomial,
     monomial,
@@ -123,11 +124,12 @@ class _Parser:
             if self.peek()[0] in ("EOF", "RPAREN"):
                 return ZERO_ELEMENT
             self.pos = save
-        value = self.term()
+        # One dict for the whole sum: adding term by term would copy it each time.
+        data = _accumulate({}, self.term().items())
         while self.peek()[0] == "PLUS":
             self.advance()
-            value = value + self.term()
-        return value
+            _accumulate(data, self.term().items())
+        return AlgebraElement._raw(data)
 
     def term(self) -> AlgebraElement:
         coeff = None

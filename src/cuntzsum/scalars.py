@@ -123,4 +123,3 @@ def _frac_text(q: Fraction) -> str:
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
-IMAG = Scalar(0, 1)

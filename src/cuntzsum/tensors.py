@@ -3,20 +3,15 @@
 A tensor element is a finite map from tuples of monomials (one per leg)
 to nonzero scalars, on the same sparse core as `AlgebraElement`.  Leg
 products in different components vanish, the adjoint acts legwise, and
-equality and canonical form use the same push-down and sibling collapse
-as the base algebra, applied per leg: each leg is pushed down over its
-whole group, so the keys left lie in a product of per-leg antichains.
+equality, canonical form and restriction are the base algebra's own
+bodies in `algebra`, which work at every width: each leg is pushed down
+over its whole group, so the keys left lie in a product of per-leg
+antichains, and the legs are then collapsed in turn.
 """
 
 from __future__ import annotations
 
-from .algebra import (
-    AlgebraElement,
-    LinearCombination,
-    _collapse_siblings,
-    _pushed_down_groups,
-    monomial,
-)
+from .algebra import AlgebraElement, LinearCombination, _canonical_terms, monomial
 from .scalars import ONE, Scalar
 
 
@@ -53,37 +48,6 @@ def tensor_unit(n: int, m: int) -> TensorElement:
     return TensorElement._raw({(monomial(n), monomial(m)): ONE})
 
 
-def _collapse_leg(leaves: dict, pos: int) -> bool:
-    """Sibling collapse on leg ``pos`` with the other legs held fixed, in place.
-
-    Returns True when anything collapsed.
-    """
-    buckets: dict[tuple, dict] = {}
-    for legs, coeff in leaves.items():
-        buckets.setdefault(legs[:pos] + legs[pos + 1:], {})[legs[pos]] = coeff
-    changed = False
-    for bucket in buckets.values():
-        changed = _collapse_siblings(bucket) or changed
-    if changed:
-        leaves.clear()
-        for others, bucket in buckets.items():
-            head, tail = others[:pos], others[pos:]
-            leaves.update((head + (mono,) + tail, c) for mono, c in bucket.items())
-    return changed
-
-
 def canonical_tensor_form(t: LinearCombination) -> LinearCombination:
-    """Deterministic compact representative of a tensor's equality class.
-
-    Per group of (component, degree) leg signatures: push every leg down
-    over the group to an antichain, then alternate sibling collapses on
-    the legs until nothing moves.  The result is the one the full
-    expansion of every leg to the group's maximal nu-length collapses to.
-    """
-    out: dict[tuple, Scalar] = {}
-    for leaves in _pushed_down_groups(t.items()):
-        width = len(next(iter(leaves)))
-        while any(_collapse_leg(leaves, pos) for pos in range(width)):
-            pass
-        out.update(leaves)
-    return type(t)._raw(out)
+    """Deterministic compact representative of a tensor's equality class (`_canonical_terms`)."""
+    return type(t)._raw(_canonical_terms(t))

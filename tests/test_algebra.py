@@ -24,7 +24,7 @@ from cuntzsum import (
     tensor_unit,
     unit,
 )
-from cuntzsum.algebra import CuntzMonomial, reduction_trace
+from cuntzsum.algebra import CuntzMonomial, RawWord, reduction_trace
 
 
 def word(n, *letters):
@@ -223,6 +223,21 @@ class TestMonomialConstruction:
             monomial(2, (3,), ())
         with pytest.raises(InputError):
             monomial(0)
+
+    def test_every_letter_check_names_the_first_bad_letter(self):
+        # monomial, raw_word and word reduction share one check and message;
+        # mu is checked before nu, and a RawWord built directly is checked
+        # when it is reduced.
+        msg = r"^letter 3 out of range 1\.\.2 in component 2$"
+        for make in (
+            lambda: monomial(2, (1,), (3, 5)),
+            lambda: monomial(2, (3,), (5,)),
+            lambda: raw_word(2, ((1, True), (3, False), (5, True))),
+            lambda: reduce_word(RawWord(2, ((3, False), (5, False)))),
+            lambda: reduction_trace(RawWord(2, ((1, False), (3, True)))),
+        ):
+            with pytest.raises(InputError, match=msg):
+                make()
 
     def test_constructors_validate_raw_keys(self):
         # Raw NamedTuple keys go through `monomial`: a component-1 word

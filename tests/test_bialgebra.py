@@ -129,6 +129,12 @@ class TestDeltaRestricted:
         with pytest.raises(InputError):
             delta_restricted(PowerSubmonoid(4), generator(2, 1))
 
+    def test_mixed_support_names_the_smallest_outside_component(self):
+        with pytest.raises(InputError, match="^component 2 lies outside the submonoid$"):
+            delta_restricted(PowerSubmonoid(4), unit(4) + unit(2) + unit(8))
+        with pytest.raises(InputError, match="^component 8 lies outside the submonoid$"):
+            delta_restricted(PowerSubmonoid(4), unit(4) + unit(8) + unit(16))
+
 
 class TestCounit:
     def test_values(self):

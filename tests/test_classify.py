@@ -25,7 +25,6 @@ from cuntzsum import (
     unit,
     window_of,
 )
-from cuntzsum.classify import _project_tensor
 
 
 def brute_force_verdict(members, bound):
@@ -169,7 +168,7 @@ class TestQuotientMorphism:
         assert quotient_morphism_check(prime_set, x, x)
         # the projected coproduct keeps all three terms: 1, 2, 4 are all
         # inside the generated submonoid
-        projected = _project_tensor(delta(x), view.contains)
+        projected = delta(x).restrict(view.contains)
         assert projected == delta(x)
         assert projected.equals(delta_restricted(view, x))
 

@@ -155,6 +155,8 @@ class TestErrors:
         assert code == 2
         code, _, err = run(capsys, "deltaH", "--primes-powers", "0", "I(1)")
         assert code == 2 and err == "error: power submonoid needs base >= 2, got 0\n"
+        code, out, err = run(capsys, "deltaH", "--primes-powers", "4", "I(4) + I(2) + I(8)")
+        assert (code, out, err) == (2, "", "error: component 2 lies outside the submonoid\n")
 
     def test_unknown_command_exit_2(self, capsys):
         # argparse raises SystemExit on unknown subcommands; main converts

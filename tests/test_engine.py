@@ -127,6 +127,11 @@ def test_width_three_equality_matches_dense_engine(x, zero, e, perturb):
     assert right.equals(left) == dense_zero
     if not perturb:
         assert dense_zero
+    # The reference builds a TensorElement at every width, so compare term maps.
+    for side in (left, right):
+        canon = canonical_tensor_form(side)
+        assert type(canon) is TripleTensorElement
+        assert dict(canon.items()) == dict(dense_canonical_tensor_form(side).items())
 
 
 def _projections(n):

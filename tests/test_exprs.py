@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -97,6 +98,16 @@ class TestParser:
             parse_element("s(2,5) +")  # reported before the syntax error after it
         with pytest.raises(InputError):
             parse_element("I(0)")
+
+    def test_long_sum_parses_in_linear_time(self):
+        # Adding term by term copied the running sum, so this took O(T^2).
+        text = " + ".join(f"s({n},1)" for n in range(2, 40_002))
+        start = time.perf_counter()
+        x = parse_element(text)
+        elapsed = time.perf_counter() - start
+        assert len(x) == 40_000
+        assert x.coefficient(monomial(40_001, (1,))) == Scalar(1)
+        assert elapsed < 5.0
 
 
 class TestRenderer:

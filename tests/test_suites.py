@@ -16,11 +16,67 @@ def _clean_mutations():
     mutations.disable_all()
 
 
+# Golden suite report at SMALL: the check count of every suite, and under
+# each mutation switch, the failure count and first witness of each red
+# suite plus the check total.  A change that moves any of these changes
+# the suite report and has to say why.
+SMALL_CHECKS = [
+    ("rewriting-termination", 16683),
+    ("relation-laws", 186),
+    ("star-algebra-laws", 101),
+    ("oracle-agreement", 40),
+    ("canonical-idempotence", 80),
+    ("coassociativity", 48),
+    ("counit-laws", 50),
+    ("hom-property", 70),
+    ("non-cocommutativity", 2),
+    ("restricted-vs-full-coproduct", 25),
+    ("wcs-axiom", 114),
+    ("factorization", 10002),
+    ("generated-submonoids-factorial", 60),
+    ("prime-set-lattice", 120),
+    ("complement-duality", 100),
+    ("free-monoid-duality", 15),
+    ("order-structure", 34),
+    ("classifier-soundness", 50),
+    ("decomposition-exactness", 48),
+    ("quotient-morphism", 40),
+    ("order-anti-isomorphism", 15),
+    ("window-counterexample", 3),
+    ("parser-roundtrip", 186),
+]
+
+SMALL_MUTANT_REPORTS = {
+    mutations.DROP_DIVISOR_PAIR: (28072, [
+        ("hom-property", 1, "coproduct of the unit wrong in component 4"),
+        ("restricted-vs-full-coproduct", 3, "full coproduct of s(4,1) is not the three-term sum"),
+        ("window-counterexample", 1, "coproduct of s(4,1) lost its middle component pair"),
+    ]),
+    mutations.SKIP_DELTA_CHECK: (28072, [
+        ("rewriting-termination", 2986, "rewrite and product paths disagree on ((1, True), (2, False))"),
+        ("relation-laws", 70, "rewrite of s(2,1)^* s(2,2) wrong"),
+    ]),
+    mutations.ONE_IS_PRIME: (28075, [
+        ("factorization", 1, "the unit 1 is reported prime"),
+        ("order-structure", 3, "multiples of 1 do not form a prime ideal (p=1)"),
+    ]),
+}
+
+
 def test_all_suites_pass_small_config():
     report = run_property_suite(SMALL)
     assert report.all_passed, [r.name for r in report.results if not r.passed]
     assert [r.name for r in report.results] == list(SUITE_NAMES)
-    assert all(r.checks > 0 for r in report.results)
+    assert [(r.name, r.checks) for r in report.results] == SMALL_CHECKS
+    assert sum(r.checks for r in report.results) == 28072
+
+
+@pytest.mark.parametrize("mutation", mutations.ALL_MUTATIONS)
+def test_mutant_report_is_pinned(mutation):
+    with mutations.enabled(mutation):
+        report = run_property_suite(SMALL)
+    red = [(r.name, len(r.failures), r.failures[0]) for r in report.results if r.failures]
+    assert (sum(r.checks for r in report.results), red) == SMALL_MUTANT_REPORTS[mutation]
 
 
 def test_determinism_same_seed():

@@ -25,7 +25,7 @@ from .errors import InputError
 from .scalars import Scalar
 from .tensors import TensorElement, TripleTensorElement
 from . import mutations
-from .monoids import divisor_pairs
+from .monoids import MAX_DIVISOR_TRIPLES, divisor_pairs, divisor_triple_count
 
 
 def _split_letter(a: int, n: int, m: int) -> tuple[int, int]:
@@ -142,8 +142,19 @@ def counit_contract_right(u: TensorElement) -> AlgebraElement:
 
 
 def check_coassociativity(x: AlgebraElement) -> bool:
-    """Both iterated comultiplications agree as triple tensors."""
+    """Both iterated comultiplications agree as triple tensors.
+
+    Each lift carries one term per ordered divisor triple of a component,
+    so a component with more than `MAX_DIVISOR_TRIPLES` is an InputError.
+    """
     dx = delta(x)
+    for n in sorted(x.support_components()):
+        count = divisor_triple_count(n)
+        if count > MAX_DIVISOR_TRIPLES:
+            raise InputError(
+                f"component {n} has {count} ordered divisor triples; "
+                f"coassoc accepts at most {MAX_DIVISOR_TRIPLES}"
+            )
     return lift_left(delta, dx).equals(lift_right(delta, dx))
 
 

@@ -1,13 +1,18 @@
 import contextlib
 import io
+import os
+import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from cuntzsum.cli import build_parser, main
-from cuntzsum.monoids import MAX_BOUND
+from cuntzsum.monoids import MAX_BOUND, MAX_DIVISOR_TRIPLES, MAX_FACTOR
 
 
 def run(capsys, *argv):
@@ -205,6 +210,18 @@ class TestErrors:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_coassoc_beyond_triple_cap_exit_2(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "coassoc", "I(963761198400)")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err == (
+            "error: component 963761198400 has 1837080 ordered divisor triples; "
+            f"coassoc accepts at most {MAX_DIVISOR_TRIPLES}\n"
+        )
+        # 7,290 triples: below the cap
+        assert run(capsys, "coassoc", "I(720720)")[:2] == (0, "true\n")
+
     def test_deep_nesting_exit_2(self, capsys):
         code, out, err = run(capsys, "norm", "(" * 5000 + "s(2,1)" + ")" * 5000)
         assert code == 2 and out == ""
@@ -292,8 +309,39 @@ _terms = st.builds(
     st.lists(_atoms, min_size=1, max_size=3),
 )
 _sums = st.lists(_terms, min_size=1, max_size=3).map(" + ".join)
+
+
+def _components_over_triple_cap():
+    """Components n <= MAX_FACTOR with more ordered divisor triples than coassoc accepts.
+
+    Each is a product of the first primes with nonincreasing exponents; its
+    triple count is the product of C(e+2, 2) over the exponents e.
+    """
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    found = []
+
+    def extend(i, n, triples, max_exp):
+        if triples > MAX_DIVISOR_TRIPLES:
+            found.append(n)
+        for e in range(1, max_exp + 1) if i < len(primes) else ():
+            n *= primes[i]
+            if n > MAX_FACTOR:
+                break
+            extend(i + 1, n, triples * (e + 2) * (e + 1) // 2, e)
+
+    extend(0, 1, 1, 40)
+    return frozenset(found)
+
+
+_OVER_TRIPLE_CAP = _components_over_triple_cap()
+_large_expressions = st.builds(
+    lambda n, form: form.format(n=n),
+    st.sampled_from(sorted(_OVER_TRIPLE_CAP)),
+    st.sampled_from(["I({n})", "s({n},2)*s({n},1)^*", "s(2,1) + [3] s({n},5)"]),
+)
 _expressions = st.one_of(
     st.text(_GRAMMAR_ALPHABET, max_size=40),
+    _large_expressions,
     st.just("0"),
     _sums,
     _sums.map("({})^*".format),
@@ -365,3 +413,15 @@ def test_fuzzed_commands_exit_cleanly(argv):
     assert "Traceback" not in err.getvalue(), argv
     if "--bound" in argv and int(argv[argv.index("--bound") + 1]) > MAX_BOUND:
         assert code == 2 and elapsed < 1.0, argv
+    if argv[0] == "coassoc" and not _OVER_TRIPLE_CAP.isdisjoint(map(int, re.findall(r"[sI]\((\d+)", argv[1]))):
+        assert code == 2 and elapsed < 1.0, argv
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "cuntzsum", "norm", "I(2)"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "I(2)\n"

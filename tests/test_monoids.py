@@ -20,7 +20,7 @@ from cuntzsum import (
     subset_window,
     window_of,
 )
-from cuntzsum.monoids import NATURALS_MONOID, next_prime_after
+from cuntzsum.monoids import MAX_BOUND, NATURALS_MONOID, PredicateResult, _check_ideal, next_prime_after
 
 
 class TestFactorization:
@@ -159,8 +159,21 @@ class TestWindowPredicates:
         with pytest.raises(InputError):
             subset_window(10, [11])
 
+    @pytest.mark.parametrize("members", [{2, 4, 6, 8, 9, 10, 12}, {3, 6, 9, 12}, {5, 7, 10}, {4, 8, 12}])
+    def test_one_sided_lookups_suffice_in_the_naturals(self, monkeypatch, members):
+        one_sided = _check_ideal(NATURALS_MONOID, members, 12)
+        monkeypatch.setattr(type(NATURALS_MONOID), "commutative", False)
+        assert _check_ideal(NATURALS_MONOID, members, 12) == one_sided
+
 
 class TestComplementDuality:
+    def test_members_outside_the_window_rejected(self):
+        for monoid, members, bound in ((NATURALS_MONOID, {2, 2000}, 10), (FREE_MONOID_AB, {"aaa"}, 2)):
+            with pytest.raises(InputError, match="outside the window"):
+                complement_duality_check(monoid=monoid, members=members, bound=bound)
+        with pytest.raises(InputError, match="window bound"):
+            complement_duality_check(monoid=NATURALS_MONOID, members={2}, bound=MAX_BOUND + 1)
+
     def test_generated_submonoid(self):
         view = SubmonoidView(PrimeSet.finite([2]))
         report = complement_duality_check(window_of(view, 200))
@@ -211,6 +224,11 @@ class TestFreeMonoidBackend:
 
     def test_elements_enumeration(self):
         assert len(FREE_MONOID_AB.elements(3)) == 1 + 2 + 4 + 8
+
+    def test_left_ideal_is_not_two_sided(self):
+        # words ending in b absorb every left factor but not a right one
+        ending_in_b = {w for w in FREE_MONOID_AB.elements(4) if w.endswith("b")}
+        assert _check_ideal(FREE_MONOID_AB, ending_in_b, 4) == PredicateResult(False, ("a", "b", "ba"))
 
     def test_unit_laws_on_sampled_elements(self):
         for monoid, sample in (

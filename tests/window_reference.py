@@ -1,16 +1,45 @@
 """Reference oracles for the window predicates and the lattice check.
 
 These are the classifier's former witness loops and the former per-n
-`lattice_iso_check`: each walks the window directly and decides
-membership through `SubmonoidView.contains`.  They share no search code
-with `cuntzsum.monoids`, so the differential tests in
+`lattice_iso_check`: each walks the window directly, finds divisors by
+trial division and decides membership in a generated submonoid by
+trial-division factorization.  They share no search code and no number
+tables with `cuntzsum.monoids`, so the differential tests in
 `test_windows.py` compare two independent implementations.
 """
 
 from __future__ import annotations
 
+from math import isqrt
+
 from cuntzsum.classify import Classification, LatticeCheck, LatticeIsoReport
-from cuntzsum.monoids import SubmonoidView, divisor_pairs
+
+
+def divisor_pairs(n):
+    """Ordered pairs (m, l) with m*l == n, in increasing m."""
+    small = [m for m in range(1, isqrt(n) + 1) if n % m == 0]
+    return [(m, n // m) for m in small + [n // m for m in reversed(small) if m * m != n]]
+
+
+def prime_divisors(n):
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return primes + [n] if n > 1 else primes
+
+
+class SubmonoidView:
+    """Membership in the submonoid generated by a prime set: every prime divisor is a generator."""
+
+    def __init__(self, generator_set):
+        self.generator_set = generator_set
+
+    def contains(self, n):
+        return n >= 1 and all(self.generator_set.contains(p) for p in prime_divisors(n))
 
 
 def divisor_closure_witness(members, bound):

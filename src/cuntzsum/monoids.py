@@ -29,8 +29,6 @@ from .errors import InputError
 def is_prime(n: int) -> bool:
     if n == 1:
         return mutations.is_active(mutations.ONE_IS_PRIME)
-    if 1 < n <= MAX_BOUND:
-        return _SMALLEST_PRIME_FACTOR.covering(n)[n] == n
     return n > 1 and prime_factorize(n) == [n]
 
 
@@ -52,16 +50,18 @@ MAX_FACTOR = 10**12
 
 
 # Largest window bound that `window_of` and `subset_window` accept.  A
-# window is scanned element by element and pair by pair, so `lattice` at
-# this bound takes about 2 s and `classify` about 1 s, while ten times
-# more took 43 s and 13 s.  The number-theory tables cover 1..MAX_BOUND.
+# window is scanned element by element and pair by pair, so time and
+# memory grow with the bound: at this bound `lattice` takes about 0.2 s
+# and `classify` up to about 0.6 s, with a divisor table of about 20 MB.
+# The number-theory tables cover 1..MAX_BOUND.
 MAX_BOUND = 10**5
 
 
-# Largest number of ordered divisor triples (a, b, c), abc = n, of one
-# component that the coassociativity check accepts.  Both triple lifts
-# carry one term per triple: I(720720), with 7,290, takes about 0.5 s,
-# while I(963761198400), with 1,837,080, ran past 20 s.
+# Largest number of ordered divisor triples (a, b, c), abc = n, summed
+# over the terms of an element (n the term's component), that the
+# coassociativity check accepts.  Both triple lifts carry one term per
+# triple: I(720720), with 7,290, takes about 0.5 s, while
+# I(963761198400), with 1,837,080, ran past 20 s.
 MAX_DIVISOR_TRIPLES = 20_000
 
 
@@ -82,8 +82,8 @@ class _GrowingTable:
 
     A lookup past the end rebuilds the table at the next power of two
     above n (capped at MAX_BOUND + 1) under a lock and publishes it with
-    one assignment; readers take no lock, so every reader sees a whole
-    table, old or new.
+    one assignment.  Readers take no lock: each sees a whole table, or
+    the empty one left while a rebuild runs, and then waits on the lock.
     """
 
     def __init__(self, build):
@@ -102,6 +102,8 @@ class _GrowingTable:
                 size = max(len(table), 64)
                 while size <= n:
                     size *= 2
+                # drop the old table first, so a rebuild holds one table, not two
+                self._table = table = ()
                 table = self._build(min(size, MAX_BOUND + 1))
                 self._table = table
         return table
@@ -358,19 +360,12 @@ class NaturalsMonoid:
 
     @staticmethod
     def factor_pairs(a):
-        return divisor_pairs(a)
-
-    @staticmethod
-    def factor_pairs_up_to(size):
-        """``factor_pairs`` for elements up to ``size``, read from the divisor table."""
-        table = _DIVISORS.covering(size)
-
-        def pairs(a):
-            divisors = table[a]
-            # the cofactors of increasing divisors are the divisors decreasing
-            return zip(divisors, reversed(divisors))
-
-        return pairs
+        """``divisor_pairs(a)``, read from the divisor table up to MAX_BOUND."""
+        if not 1 <= a <= MAX_BOUND:
+            return divisor_pairs(a)
+        divisors = _DIVISORS.covering(a)[a]
+        # the cofactors of increasing divisors are the divisors decreasing
+        return list(zip(divisors, reversed(divisors)))
 
     @staticmethod
     def size(a):
@@ -410,9 +405,6 @@ class FreeMonoid:
     @staticmethod
     def factor_pairs(a):
         return [(a[:i], a[i:]) for i in range(len(a) + 1)]
-
-    def factor_pairs_up_to(self, size):
-        return self.factor_pairs
 
     @staticmethod
     def size(a):
@@ -486,10 +478,8 @@ def _check_ideal(monoid, members: set, bound: int) -> PredicateResult:
 
 def _check_factorial(monoid, members: set, bound: int) -> PredicateResult:
     """First ``(s, b, c)`` with ``s = bc`` in ``members`` but ``b`` or ``c`` outside."""
-    ordered = _ordered(monoid, members)
-    factor_pairs = monoid.factor_pairs_up_to(monoid.size(ordered[-1]))
-    for s in ordered:
-        for b, c in factor_pairs(s):
+    for s in _ordered(monoid, members):
+        for b, c in monoid.factor_pairs(s):
             if b not in members or c not in members:
                 return PredicateResult(False, (s, b, c))
     return PredicateResult(True, None)
@@ -497,10 +487,8 @@ def _check_factorial(monoid, members: set, bound: int) -> PredicateResult:
 
 def _check_prime(monoid, members: set, bound: int) -> PredicateResult:
     """First ``(s, b, c)`` with ``s = bc`` in ``members`` but ``b`` and ``c`` outside."""
-    ordered = _ordered(monoid, members)
-    factor_pairs = monoid.factor_pairs_up_to(monoid.size(ordered[-1]))
-    for s in ordered:
-        for b, c in factor_pairs(s):
+    for s in _ordered(monoid, members):
+        for b, c in monoid.factor_pairs(s):
             if b not in members and c not in members:
                 return PredicateResult(False, (s, b, c))
     return PredicateResult(True, None)

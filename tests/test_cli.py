@@ -123,6 +123,8 @@ class TestChecks:
     def test_coassoc_and_counitlaws(self, capsys):
         assert run(capsys, "coassoc", "s(4,1)")[0] == 0
         assert run(capsys, "counitlaws", "s(4,1)")[0] == 0
+        # 7,290 ordered divisor triples: below the coassoc cap
+        assert run(capsys, "coassoc", "I(720720)")[:2] == (0, "true\n")
 
     def test_wcs(self, capsys):
         code, out, _ = run(capsys, "wcs", "2", "2", "2", "s(8,5)")
@@ -210,17 +212,27 @@ class TestErrors:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_coassoc_beyond_triple_cap_exit_2(self, capsys):
+    @pytest.mark.parametrize(
+        "expr, total",
+        [
+            ("I(963761198400)", 1837080),
+            # three terms of one component, 7,290 triples each
+            ("I(720720) + s(720720,1) + [2] s(720720,2)^*", 21870),
+            # 10,206 + 12,150 triples in two components
+            ("I(1441440) + I(2162160)", 22356),
+            # 17,010 + 7,290, and a small term
+            ("s(4324320,3) + I(720720) + s(2,1)", 24303),
+        ],
+    )
+    def test_coassoc_beyond_triple_cap_exit_2(self, capsys, expr, total):
         start = time.perf_counter()
-        code, out, err = run(capsys, "coassoc", "I(963761198400)")
+        code, out, err = run(capsys, "coassoc", expr)
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
         assert err == (
-            "error: component 963761198400 has 1837080 ordered divisor triples; "
+            f"error: the terms have {total} ordered divisor triples in all; "
             f"coassoc accepts at most {MAX_DIVISOR_TRIPLES}\n"
         )
-        # 7,290 triples: below the cap
-        assert run(capsys, "coassoc", "I(720720)")[:2] == (0, "true\n")
 
     def test_deep_nesting_exit_2(self, capsys):
         code, out, err = run(capsys, "norm", "(" * 5000 + "s(2,1)" + ")" * 5000)

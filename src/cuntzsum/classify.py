@@ -33,7 +33,6 @@ from .monoids import (
 class Classification(NamedTuple):
     verdict: str                       # subbialgebra | biideal | ideal_only | zero | none
     witness: tuple[int, int, int] | None
-    scope: str = "window"
 
 
 class Decomposition(NamedTuple):

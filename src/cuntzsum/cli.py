@@ -249,14 +249,13 @@ def run_command(args) -> int:
         return 0
     if cmd == "decompose":
         parts = decompose(parse_element(args.expr), _prime_set_from_args(args))
+        # Both parts are rendered before either is printed, so a part past
+        # the push-down cap leaves no half report on stdout.
+        sub, ideal = (_element_out(part, fmt) for part in parts)
         if fmt == "machine":
-            print("part subbialgebra")
-            print(serialize_element(parts.subbialgebra_part))
-            print("part biideal")
-            print(serialize_element(parts.biideal_part))
+            print(f"part subbialgebra\n{sub}\npart biideal\n{ideal}")
         else:
-            print(f"subbialgebra part: {render_element(parts.subbialgebra_part)}")
-            print(f"biideal part: {render_element(parts.biideal_part)}")
+            print(f"subbialgebra part: {sub}\nbiideal part: {ideal}")
         return 0
     if cmd == "quotient":
         ok = quotient_morphism_check(

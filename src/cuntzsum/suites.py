@@ -128,13 +128,13 @@ def _rng(cfg: SuiteConfig, name: str) -> Random:
     return Random(f"{cfg.seed}:{name}")
 
 
-def random_scalar(rng: Random, nonzero: bool = True) -> Scalar:
+def random_scalar(rng: Random) -> Scalar:
     while True:
         value = Scalar(
             Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
             Fraction(rng.randint(-2, 2), rng.randint(1, 2)) if rng.random() < 0.3 else 0,
         )
-        if not (nonzero and value.is_zero()):
+        if not value.is_zero():
             return value
 
 

@@ -11,6 +11,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from cuntzsum.algebra import MAX_PUSHED_KEYS
 from cuntzsum.cli import build_parser, main
 from cuntzsum.monoids import MAX_BOUND, MAX_DIVISOR_TRIPLES, MAX_FACTOR
 
@@ -234,6 +235,24 @@ class TestErrors:
             f"coassoc accepts at most {MAX_DIVISOR_TRIPLES}\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eq", "I(1000000)", "s(1000000,1)*s(1000000,1)^*"),
+            # one group per divisor pair, each pushed down to about n keys
+            ("delta", "I(100000) + [-1] * s(100000,1)*s(100000,1)^*"),
+            ("norm", "I(1000000) + [-1] * s(1000000,1)*s(1000000,1)^*"),
+            # the first part renders, the second is past the cap
+            ("decompose", "--primes", "2", "I(1000000) + [-1] * s(1000000,1)*s(1000000,1)^*"),
+        ],
+    )
+    def test_push_down_beyond_key_cap_exit_2(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == f"error: pushing terms down would make more than {MAX_PUSHED_KEYS} keys\n"
+
     def test_deep_nesting_exit_2(self, capsys):
         code, out, err = run(capsys, "norm", "(" * 5000 + "s(2,1)" + ")" * 5000)
         assert code == 2 and out == ""
@@ -351,9 +370,14 @@ _large_expressions = st.builds(
     st.sampled_from(sorted(_OVER_TRIPLE_CAP)),
     st.sampled_from(["I({n})", "s({n},2)*s({n},1)^*", "s(2,1) + [3] s({n},5)"]),
 )
+# A unit less one projection in a component past the push-down key cap.
+_over_key_cap = st.integers(MAX_PUSHED_KEYS + 1, 10**9).map(
+    "I({0}) + [-1] * s({0},1)*s({0},1)^*".format
+)
 _expressions = st.one_of(
     st.text(_GRAMMAR_ALPHABET, max_size=40),
     _large_expressions,
+    _over_key_cap,
     st.just("0"),
     _sums,
     _sums.map("({})^*".format),
@@ -423,7 +447,12 @@ def test_fuzzed_commands_exit_cleanly(argv):
     assert elapsed < 5.0, argv
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue(), argv
+    if code == 2:
+        assert out.getvalue() == "", argv
     if "--bound" in argv and int(argv[argv.index("--bound") + 1]) > MAX_BOUND:
+        assert code == 2 and elapsed < 1.0, argv
+    projection_split = re.fullmatch(r"I\((\d+)\) \+ \[-1\] \* s\(\1,1\)\*s\(\1,1\)\^\*", argv[1])
+    if argv[0] in ("norm", "delta") and projection_split and int(projection_split[1]) > MAX_PUSHED_KEYS:
         assert code == 2 and elapsed < 1.0, argv
     if argv[0] == "coassoc" and not _OVER_TRIPLE_CAP.isdisjoint(map(int, re.findall(r"[sI]\((\d+)", argv[1]))):
         assert code == 2 and elapsed < 1.0, argv

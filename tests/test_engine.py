@@ -157,6 +157,20 @@ def test_whole_group_push_down_at_every_width(width):
     assert canonical_tensor_form(split) == canonical_tensor_form(whole) == whole
 
 
+@pytest.mark.parametrize("depths", [(2, 1, 0), (0, 1, 2)])
+def test_staggered_width_three_collapse_matches_dense_engine(depths):
+    """Legs split to different depths, whole and with one coefficient
+    bumped: one deepest-first pass per leg, in leg order, gives the form of
+    the reference's sweeps until nothing moves."""
+    base = (monomial(2, (1,), ()), monomial(3), monomial(2, (), (2,)))
+    leaves = [list(refinements(m, len(m.nu) + d)) for m, d in zip(base, depths)]
+    split = TripleTensorElement({legs: 1 for legs in product(*leaves)})
+    bumped = split + TripleTensorElement({tuple(leg[-1] for leg in leaves): Fraction(1, 2)})
+    assert canonical_tensor_form(split) == TripleTensorElement({base: 1})
+    for t in (split, bumped):
+        assert dict(canonical_tensor_form(t).items()) == dict(dense_canonical_tensor_form(t).items())
+
+
 def _term_text(n, word, coeff):
     factors = [f"s({n},{i})" for i in word] + [f"s({n},{i})^*" for i in reversed(word)]
     return f"[{coeff.literal()}] * " + "*".join(factors)

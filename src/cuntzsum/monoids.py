@@ -59,9 +59,10 @@ MAX_BOUND = 10**5
 
 # Largest number of ordered divisor triples (a, b, c), abc = n, summed
 # over the terms of an element (n the term's component), that the
-# coassociativity check accepts.  Both triple lifts carry one term per
-# triple: I(720720), with 7,290, takes about 0.5 s, while
-# I(963761198400), with 1,837,080, ran past 20 s.
+# coassociativity check accepts.  It splits each term once per triple:
+# as a `coassoc` command, I(720720), with 7,290, takes about 0.4 s and
+# I(12612600), with 19,440, about 0.75 s; I(963761198400), with
+# 1,837,080, would take about a minute at that rate.
 MAX_DIVISOR_TRIPLES = 20_000
 
 

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -27,11 +28,13 @@ from cuntzsum import (
     lift_left,
     lift_right,
     monomial,
+    parse_element,
     phi,
     simple_tensor,
     tensor_unit,
     unit,
 )
+from cuntzsum import bialgebra
 
 
 def ordered_triples(n):
@@ -257,6 +260,25 @@ class TestCoassociativity:
         )
         assert not base.equals(lopsided)
 
+    def test_each_integer_is_factored_once(self, monkeypatch):
+        """Components share divisors here (12 | 24, 12 | 36); each integer
+        still reaches each number-theory function at most once."""
+        calls = {}
+        for name in ("divisor_pairs", "divisor_triple_count"):
+            seen = calls[name] = Counter()
+
+            def counting(n, original=getattr(bialgebra, name), seen=seen):
+                seen[n] += 1
+                return original(n)
+
+            monkeypatch.setattr(bialgebra, name, counting)
+        assert check_coassociativity(parse_element("I(12) + s(24,5) + I(36) + s(12,7)"))
+        assert max(calls["divisor_pairs"].values()) == 1
+        assert max(calls["divisor_triple_count"].values()) == 1
+        assert set(calls["divisor_triple_count"]) == {12, 24, 36}
+        divisors = {d for n in (12, 24, 36) for d in range(1, n + 1) if n % d == 0}
+        assert set(calls["divisor_pairs"]) == divisors
+
 
 class TestCounitLaws:
     def test_examples(self):
@@ -316,6 +338,13 @@ class TestWcsAxiom:
     def test_support_validation(self):
         with pytest.raises(InputError):
             check_wcs_axiom(2, 2, 2, generator(6, 1))
+
+    @pytest.mark.parametrize("a, b, c, x", [
+        (0, 2, 2, ZERO_ELEMENT), (-1, -1, 1, unit(1)), (1, -1, -1, unit(1)), (2, -1, -1, unit(2)),
+    ])
+    def test_nonpositive_indices(self, a, b, c, x):
+        with pytest.raises(InputError, match="^phi requires positive component indices$"):
+            check_wcs_axiom(a, b, c, x)
 
 
 class TestNonCocommutativity:

@@ -19,6 +19,7 @@ from cuntzsum import (
     TripleTensorElement,
     canonical_form,
     canonical_tensor_form,
+    check_coassociativity,
     delta,
     from_monomial,
     lift_left,
@@ -31,7 +32,7 @@ from cuntzsum import (
     simple_tensor,
     unit,
 )
-from cuntzsum import exprs
+from cuntzsum import bialgebra, exprs, mutations
 from cuntzsum.cli import main
 from dense_reference import dense_canonical_form, dense_canonical_tensor_form, refinements
 
@@ -59,8 +60,8 @@ def refined_elements(draw, max_n=4):
 
 
 @st.composite
-def component_sums(draw):
-    n = draw(st.sampled_from((4, 6, 8, 12)))
+def component_sums(draw, components=(4, 6, 8, 12)):
+    n = draw(st.sampled_from(components))
     out = AlgebraElement()
     for _ in range(draw(st.integers(1, 3))):
         mu = draw(st.lists(st.integers(1, n), max_size=2))
@@ -105,10 +106,10 @@ def test_deep_decomposition_of_a_unit():
 
 
 @st.composite
-def hidden_zeros(draw):
+def hidden_zeros(draw, components=(4, 6, 8, 12)):
     """``y - y'``, where ``y'`` splits every term of ``y`` into its children:
     zero in the algebra, but not term by term."""
-    y = draw(component_sums())
+    y = draw(component_sums(components))
     split = AlgebraElement(
         (leaf, coeff) for mono, coeff in y.items() for leaf in refinements(mono, len(mono.nu) + 1)
     )
@@ -132,6 +133,52 @@ def test_width_three_equality_matches_dense_engine(x, zero, e, perturb):
         canon = canonical_tensor_form(side)
         assert type(canon) is TripleTensorElement
         assert dict(canon.items()) == dict(dense_canonical_tensor_form(side).items())
+
+
+def coassociative_by_lifts(x):
+    """The whole-cube reference: both iterated coproducts, built and compared."""
+    dx = delta(x)
+    return lift_left(delta, dx).equals(lift_right(delta, dx))
+
+
+@given(component_sums(), hidden_zeros(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_coassociativity_matches_whole_cube_lifts(x, zero, hide):
+    y = x + zero if hide else x
+    assert coassociative_by_lifts(y)
+    assert check_coassociativity(y)
+
+
+@given(component_sums((16, 32, 48)), hidden_zeros((16, 32, 48)), st.sampled_from(("x", "zero", "both")))
+@settings(max_examples=40, deadline=None)
+def test_coassociativity_matches_whole_cube_lifts_with_a_dropped_pair(x, zero, pick):
+    """Without the (2,2) pair of 4 the two sides reach different triples
+    (at 16 the left side misses (2,2,4), the right side (4,2,2)); a triple
+    one side misses is compared with zero, so a hidden zero still passes."""
+    y = {"x": x, "zero": zero, "both": x + zero}[pick]
+    with mutations.enabled(mutations.DROP_DIVISOR_PAIR):
+        assert check_coassociativity(y) == coassociative_by_lifts(y)
+
+
+def _unit_less_projections(n):
+    """``I(n) - sum_i s_i s_i^*``: zero, with nonzero terms."""
+    return unit(n) - AlgebraElement((m, 1) for m in _projections(n))
+
+
+def test_hidden_zero_passes_with_a_dropped_pair():
+    zero = _unit_less_projections(16)
+    with mutations.enabled(mutations.DROP_DIVISOR_PAIR):
+        assert check_coassociativity(zero) and coassociative_by_lifts(zero)
+        assert not check_coassociativity(unit(16)) and not coassociative_by_lifts(unit(16))
+    assert check_coassociativity(unit(16))
+
+
+@pytest.mark.parametrize("left, right", [(True, False), (False, True)])
+def test_one_side_of_a_triple_is_compared_with_zero(left, right):
+    zero = _unit_less_projections(16)
+    for x, vanishes in ((zero, True), (unit(16), False), (zero + from_monomial(monomial(16, (3,))), False)):
+        items = list(x._leg_items())
+        assert bialgebra._splittings_agree(items, 2, 2, 4, left, right) is vanishes
 
 
 def _projections(n):

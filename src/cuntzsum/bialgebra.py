@@ -30,7 +30,7 @@ from .algebra import (
     monomial,
 )
 from .errors import InputError
-from .scalars import Scalar
+from .scalars import Scalar, _int_text
 from .tensors import TensorElement, TripleTensorElement
 from . import mutations
 from .monoids import MAX_DIVISOR_TRIPLES, divisor_pairs, divisor_triple_count
@@ -63,7 +63,7 @@ def phi(n: int, m: int, x: AlgebraElement) -> TensorElement:
     for mono, _ in x.items():
         if mono.n != target:
             raise InputError(
-                f"phi({n},{m}) expects support on component {target}, found {mono.n}"
+                f"phi({n},{m}) expects support on component {_int_text(target, 'component')}, found {mono.n}"
             )
     return TensorElement._raw(_split_leg(x._leg_items(), 0, n, m))
 
@@ -217,7 +217,7 @@ def check_wcs_axiom(a: int, b: int, c: int, x: AlgebraElement) -> bool:
     for mono, _ in x.items():
         if mono.n != target:
             raise InputError(
-                f"wcs check for ({a},{b},{c}) expects support on component {target}"
+                f"wcs check for ({a},{b},{c}) expects support on component {_int_text(target, 'component')}"
             )
     if min(a, b, c) < 1:
         raise InputError("phi requires positive component indices")

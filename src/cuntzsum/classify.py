@@ -43,8 +43,8 @@ class Decomposition(NamedTuple):
 def classify_component_set(window: SubsetWindow) -> Classification:
     """Window verdict: subbialgebra, biideal, ideal_only, zero, or none.
 
-    Decided by the shared window predicates of `monoids`; every witness
-    is ``(product, left factor, right factor)``.
+    Decided by the shared window predicates of `monoids`, whose
+    ``(product, left factor, right factor)`` witnesses pass unchanged.
     """
     members = set(window.members)
     bound = window.bound
@@ -56,17 +56,14 @@ def classify_component_set(window: SubsetWindow) -> Classification:
             return Classification("none", factorial.witness)
         closed = _check_subsemigroup(NATURALS_MONOID, members, bound)
         if not closed.holds:
-            a, b, ab = closed.witness
-            return Classification("none", (ab, a, b))
+            return Classification("none", closed.witness)
         return Classification("subbialgebra", None)
     ideal = _check_ideal(NATURALS_MONOID, members, bound)
     prime = _check_prime(NATURALS_MONOID, members, bound)
     if ideal.holds:
         return Classification("biideal" if prime.holds else "ideal_only", None)
-    if not prime.holds:
-        return Classification("none", prime.witness)
-    a, s, product = ideal.witness
-    return Classification("none", (product, a, s))
+    # the prime witness is preferred; it is None when only the ideal search fails
+    return Classification("none", prime.witness or ideal.witness)
 
 
 def check_biideal_on_generators(prime_set: PrimeSet, n: int) -> bool:

@@ -31,7 +31,7 @@ from .algebra import (
     unit,
 )
 from .errors import InputError, ParseError
-from .scalars import ONE, Scalar
+from .scalars import ONE, Scalar, _int_text
 from .tensors import TensorElement, canonical_tensor_form
 
 
@@ -73,9 +73,10 @@ def _tokenize(text: str):
             tokens.append((_SYMBOLS[ch], ch, pos))
             pos += 1
             continue
-        if ch.isdigit():
+        # isdecimal accepts exactly the digits int() reads (isdigit also takes '²')
+        if ch.isdecimal():
             start = pos
-            while pos < len(text) and text[pos].isdigit():
+            while pos < len(text) and text[pos].isdecimal():
                 pos += 1
             tokens.append(("INT", text[start:pos], start))
             continue
@@ -109,6 +110,15 @@ class _Parser:
         if tok[0] != kind:
             raise ParseError(f"expected {what or kind}, found {tok[1]!r}", tok[2])
         return tok
+
+    def integer(self, what) -> int:
+        """The value of the next token, which must be an integer literal."""
+        tok = self.expect("INT", what)
+        try:
+            return int(tok[1])
+        except ValueError:
+            # past the interpreter's limit on digits converted from text
+            raise ParseError(f"{what} has too many digits ({len(tok[1])})", tok[2]) from None
 
     def parse(self) -> AlgebraElement:
         value = self.element()
@@ -148,9 +158,9 @@ class _Parser:
         if tok[0] == "NAME" and tok[1] == "s":
             self.advance()
             self.expect("LPAREN", "'(' after s")
-            n = int(self.expect("INT", "component index")[1])
+            n = self.integer("component index")
             self.expect("COMMA", "','")
-            i = int(self.expect("INT", "generator index")[1])
+            i = self.integer("generator index")
             self.expect("RPAREN", "')'")
             if n < 1:
                 raise InputError(f"generator s({n},{i}): component must be >= 1")
@@ -163,7 +173,7 @@ class _Parser:
         if tok[0] == "NAME" and tok[1] == "I":
             self.advance()
             self.expect("LPAREN", "'(' after I")
-            n = int(self.expect("INT", "component index")[1])
+            n = self.integer("component index")
             self.expect("RPAREN", "')'")
             if n < 1:
                 raise InputError(f"unit I({n}): component must be >= 1")
@@ -202,11 +212,11 @@ class _Parser:
         if self.peek()[0] == "MINUS":
             self.advance()
             sign = -1
-        num = int(self.expect("INT", "integer")[1])
+        num = self.integer("integer")
         den = 1
         if self.peek()[0] == "SLASH":
             self.advance()
-            den = int(self.expect("INT", "denominator")[1])
+            den = self.integer("denominator")
             if den == 0:
                 raise ParseError("zero denominator", self.tokens[self.pos - 1][2])
         return Fraction(sign * num, den)
@@ -263,7 +273,7 @@ def _parse_word_field(field: str) -> tuple[int, ...]:
 
 
 def _coeff_fields(c: Scalar) -> str:
-    return f"{c.re_num}/{c.re_den} | {c.im_num}/{c.im_den}"
+    return " | ".join(f"{_int_text(q.numerator)}/{_int_text(q.denominator)}" for q in (c.re, c.im))
 
 
 def serialize_element(x: AlgebraElement) -> str:

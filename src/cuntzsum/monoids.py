@@ -15,6 +15,7 @@ division factors numbers up to MAX_FACTOR.
 
 from __future__ import annotations
 
+import itertools
 import operator
 import threading
 from bisect import bisect_right
@@ -348,12 +349,9 @@ class NaturalsMonoid:
     """(N, *) within the window {1..bound}."""
 
     unit = 1
+    op = operator.mul
     order_key = None  # by value, which is the size
     commutative = True
-
-    @staticmethod
-    def op(a, b):
-        return a * b
 
     @staticmethod
     def elements(bound):
@@ -361,12 +359,12 @@ class NaturalsMonoid:
 
     @staticmethod
     def factor_pairs(a):
-        """``divisor_pairs(a)``, read from the divisor table up to MAX_BOUND."""
+        """The pairs of ``divisor_pairs(a)``, read from the divisor table up to MAX_BOUND."""
         if not 1 <= a <= MAX_BOUND:
             return divisor_pairs(a)
         divisors = _DIVISORS.covering(a)[a]
         # the cofactors of increasing divisors are the divisors decreasing
-        return list(zip(divisors, reversed(divisors)))
+        return zip(divisors, reversed(divisors))
 
     @staticmethod
     def size(a):
@@ -379,37 +377,25 @@ class NaturalsMonoid:
 
 
 class FreeMonoid:
-    """Words over a finite alphabet; the window is a length cap."""
+    """Words over the alphabet {a, b}; the window is a length cap."""
 
+    alphabet = "ab"
     unit = ""
+    op = operator.add
+    size = len
     commutative = False
 
     @staticmethod
     def order_key(a):
         return (len(a), a)
 
-    def __init__(self, alphabet: str = "ab"):
-        self.alphabet = alphabet
-
-    @staticmethod
-    def op(a, b):
-        return a + b
-
     def elements(self, bound):
-        out = [""]
-        frontier = [""]
-        for _ in range(bound):
-            frontier = [w + ch for w in frontier for ch in self.alphabet]
-            out.extend(frontier)
-        return out
+        """Words by length, then in alphabet order."""
+        return ["".join(w) for k in range(bound + 1) for w in itertools.product(self.alphabet, repeat=k)]
 
     @staticmethod
     def factor_pairs(a):
         return [(a[:i], a[i:]) for i in range(len(a) + 1)]
-
-    @staticmethod
-    def size(a):
-        return len(a)
 
     @staticmethod
     def cofactor_cap(size, bound):
@@ -417,14 +403,16 @@ class FreeMonoid:
 
 
 NATURALS_MONOID = NaturalsMonoid()
-FREE_MONOID_AB = FreeMonoid("ab")
+FREE_MONOID_AB = FreeMonoid()
 
 
 # ---------------------------------------------------------------------------
 # Windowed subset predicates
 #
 # The four `_check_*` searches are the only deciders of these properties,
-# for the duality reports and for `classify` alike.  They assume a
+# for the duality reports and for `classify` alike.  Each reports its
+# first failure as ``(product, left, right)`` with product == op(left,
+# right), and `classify` passes that triple on unchanged.  They assume a
 # nonempty member set; `_guard` settles the empty and the improper
 # (whole-window) cases before any search runs.  A backend yields
 # ``elements(bound)`` in nondecreasing size, and its ``cofactor_cap``
@@ -443,7 +431,7 @@ def _ordered(monoid, members):
 
 
 def _check_subsemigroup(monoid, members: set, bound: int) -> PredicateResult:
-    """First ``(a, b, ab)`` with ``ab`` in the window but not in ``members``."""
+    """First ``(ab, a, b)`` with ``ab`` in the window but not in ``members``."""
     ordered = _ordered(monoid, members)
     sizes = [monoid.size(a) for a in ordered]
     for a, size in zip(ordered, sizes):
@@ -453,12 +441,16 @@ def _check_subsemigroup(monoid, members: set, bound: int) -> PredicateResult:
         for b in cofactors:
             ab = monoid.op(a, b)
             if ab not in members:
-                return PredicateResult(False, (a, b, ab))
+                return PredicateResult(False, (ab, a, b))
     return PredicateResult(True, None)
 
 
 def _check_ideal(monoid, members: set, bound: int) -> PredicateResult:
-    """First ``(a, s, product)`` leaving ``members``: cofactor ``a`` outer, member ``s`` inner."""
+    """First product leaving ``members``: cofactor ``a`` outer, member ``s`` inner.
+
+    The witness is ``(op(a, s), a, s)``, or ``(op(s, a), s, a)`` when
+    only the right product leaves.
+    """
     ordered = _ordered(monoid, members)
     sizes = [monoid.size(s) for s in ordered]
     op, two_sided = monoid.op, not monoid.commutative
@@ -469,11 +461,11 @@ def _check_ideal(monoid, members: set, bound: int) -> PredicateResult:
         for s in inner:
             prod = op(a, s)
             if prod not in members:
-                return PredicateResult(False, (a, s, prod))
+                return PredicateResult(False, (prod, a, s))
             if two_sided:
                 prod = op(s, a)
                 if prod not in members:
-                    return PredicateResult(False, (a, s, prod))
+                    return PredicateResult(False, (prod, s, a))
     return PredicateResult(True, None)
 
 
@@ -589,23 +581,22 @@ def _side_verdicts(monoid, members: set, bound: int, universe: set) -> SideVerdi
     )
 
 
-def complement_duality_check(window: SubsetWindow = None, monoid=None, members=None, bound=None) -> DualityReport:
+def complement_duality_check(window: SubsetWindow, monoid=NATURALS_MONOID) -> DualityReport:
     """Check the subsemigroup/prime and ideal/factorial complement pairings.
 
-    Works on a window over (N, *) by default; pass an explicit backend
-    (with its member set and bound) for other monoids.
+    ``window`` holds elements of ``monoid`` up to ``window.bound`` in its
+    size, over (N, *) by default.  For the free monoid pass
+    ``SubsetWindow(bound, frozenset(words))`` and ``FREE_MONOID_AB``.
     """
-    if monoid is None:
-        monoid = NATURALS_MONOID
-        members = set(window.members)
-        bound = window.bound
+    bound = window.bound
     _check_bound(bound)
     universe = set(monoid.elements(bound))
+    members = set(window.members)
     if not universe.issuperset(members):
         raise InputError(f"members outside the window of bound {bound}")
-    comp = universe - set(members)
+    comp = universe - members
 
-    side = _side_verdicts(monoid, set(members), bound, universe)
+    side = _side_verdicts(monoid, members, bound, universe)
     dual = _side_verdicts(monoid, comp, bound, universe)
 
     equivalences = (

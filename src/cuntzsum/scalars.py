@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import InputError
+
 
 class Scalar:
     __slots__ = ("re", "im")
@@ -115,10 +117,18 @@ class Scalar:
         return f"Scalar({self.literal()})"
 
 
+def _int_text(k: int, what: str = "coefficient") -> str:
+    """``str(k)``, or an InputError past the interpreter's limit on digits converted to text."""
+    try:
+        return str(k)
+    except ValueError:
+        raise InputError(f"{what} has too many digits to print") from None
+
+
 def _frac_text(q: Fraction) -> str:
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        return _int_text(q.numerator)
+    return f"{_int_text(q.numerator)}/{_int_text(q.denominator)}"
 
 
 ZERO = Scalar(0)

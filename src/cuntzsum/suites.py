@@ -61,6 +61,7 @@ from .monoids import (
     PowerSubmonoid,
     PrimeSet,
     SubmonoidView,
+    SubsetWindow,
     complement_duality_check,
     divisor_pairs,
     is_prime,
@@ -525,9 +526,7 @@ def _suite_free_monoid_duality(cfg, rng, fail):
 
     def check(members, expect_factorial_submonoid=None, expect_prime_ideal=None, label=""):
         nonlocal checks
-        report = complement_duality_check(
-            monoid=FREE_MONOID_AB, members=set(members), bound=bound
-        )
+        report = complement_duality_check(SubsetWindow(bound, frozenset(members)), FREE_MONOID_AB)
         if not report.consistent:
             fail(f"free-monoid duality broken for {label}")
         if (

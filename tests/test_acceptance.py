@@ -22,6 +22,7 @@ from cuntzsum import (
     PowerSubmonoid,
     PrimeSet,
     SubmonoidView,
+    SubsetWindow,
     check_coassociativity,
     check_counit_laws,
     check_hom_property,
@@ -239,9 +240,7 @@ def test_criterion_07_duality_facts():
         for _ in range(20):
             free_sets.append(set(rng.sample(universe, rng.randint(0, len(universe)))))
         for members in free_sets:
-            if not complement_duality_check(
-                monoid=FREE_MONOID_AB, members=members, bound=6
-            ).consistent:
+            if not complement_duality_check(SubsetWindow(6, frozenset(members)), FREE_MONOID_AB).consistent:
                 failures.append(f"free monoid set of size {len(members)}")
         assert not failures, failures[:5]
 

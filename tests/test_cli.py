@@ -15,6 +15,14 @@ from cuntzsum.algebra import MAX_PUSHED_KEYS
 from cuntzsum.cli import build_parser, main
 from cuntzsum.monoids import MAX_BOUND, MAX_DIVISOR_TRIPLES, MAX_FACTOR
 
+# Python 3.10.7 and later refuse to convert ints of more than 4,300
+# digits to or from text unless told otherwise.
+_needs_digit_limit = pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 4900,
+    reason="needs the default limit on int/str conversion digits",
+)
+_LONG_FACTOR = "([" + "7" * 2500 + "] * I(2))"
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -204,6 +212,13 @@ class TestErrors:
             ("member", "--primes", "2", "--n", "1000000000000000003"),
             ("delta", "I(1000000000000000003)"),
             ("deltaH", "--primes", "1000000000000000003", "I(1)"),
+            # a digit int() refuses, a literal too long to convert, and a
+            # product whose coefficient is too long to print
+            ("norm", "s(2,²)"),
+            pytest.param(("norm", "I(" + "1" * 5000 + ")"), marks=_needs_digit_limit),
+            pytest.param(("norm", f"{_LONG_FACTOR} * {_LONG_FACTOR}"), marks=_needs_digit_limit),
+            # a target component a*b*c too long to name in the support error
+            pytest.param(("wcs", *["3" * 2200] * 3, "I(2)"), marks=_needs_digit_limit),
         ],
     )
     def test_factorization_beyond_limit_exit_2(self, capsys, argv):
@@ -323,7 +338,7 @@ class TestDeterminism:
 # Fuzzing: every subcommand but ``suite`` exits 0, 1 or 2, without a
 # traceback and within a bounded time, on short inputs.
 
-_GRAMMAR_ALPHABET = "sIi0123456789()[],+-*/^ "
+_GRAMMAR_ALPHABET = "sIi0123456789()[],+-*/^ ²①"
 _ints = st.integers(-2, 12).map(str)
 _atoms = st.one_of(
     st.integers(1, 6).flatmap(
@@ -374,8 +389,22 @@ _large_expressions = st.builds(
 _over_key_cap = st.integers(MAX_PUSHED_KEYS + 1, 10**9).map(
     "I({0}) + [-1] * s({0},1)*s({0},1)^*".format
 )
+# Literals too long for int(), and products of two coefficients whose
+# product is too long for str().
+_long_literals = st.builds(
+    lambda digits, form: form.format("1" * digits),
+    st.integers(4301, 5000),
+    st.sampled_from(["I({})", "s(2,{})", "[{}] * I(1)", "[1/{}] * s(2,1)"]),
+)
+_long_products = st.builds(
+    lambda digits, n: "([{0}] * I({1})) * ([{0}] * I({1}))".format("7" * digits, n),
+    st.integers(2200, 2500),
+    st.sampled_from([1, 2, 6]),
+)
 _expressions = st.one_of(
     st.text(_GRAMMAR_ALPHABET, max_size=40),
+    _long_literals,
+    _long_products,
     _large_expressions,
     _over_key_cap,
     st.just("0"),

@@ -8,6 +8,7 @@ from cuntzsum import (
     PowerSubmonoid,
     PrimeSet,
     SubmonoidView,
+    SubsetWindow,
     complement_duality_check,
     divisor_pairs,
     is_factorial,
@@ -63,8 +64,8 @@ class TestFactorization:
 
 class TestFactorPairs:
     def test_naturals(self):
-        assert NATURALS_MONOID.factor_pairs(6) == [(1, 6), (2, 3), (3, 2), (6, 1)]
-        assert NATURALS_MONOID.factor_pairs(1) == [(1, 1)]
+        assert list(NATURALS_MONOID.factor_pairs(6)) == [(1, 6), (2, 3), (3, 2), (6, 1)]
+        assert list(NATURALS_MONOID.factor_pairs(1)) == [(1, 1)]
         assert divisor_pairs(12)[0] == (1, 12)
 
     def test_free_monoid_prefix_splits(self):
@@ -153,7 +154,7 @@ class TestWindowPredicates:
 
     def test_subsemigroup_witness(self):
         res = is_subsemigroup(subset_window(10, [2, 3]))
-        assert not res.holds and res.witness == (2, 2, 4)
+        assert not res.holds and res.witness == (4, 2, 2)
 
     def test_window_validation(self):
         with pytest.raises(InputError):
@@ -170,9 +171,9 @@ class TestComplementDuality:
     def test_members_outside_the_window_rejected(self):
         for monoid, members, bound in ((NATURALS_MONOID, {2, 2000}, 10), (FREE_MONOID_AB, {"aaa"}, 2)):
             with pytest.raises(InputError, match="outside the window"):
-                complement_duality_check(monoid=monoid, members=members, bound=bound)
+                complement_duality_check(SubsetWindow(bound, frozenset(members)), monoid)
         with pytest.raises(InputError, match="window bound"):
-            complement_duality_check(monoid=NATURALS_MONOID, members={2}, bound=MAX_BOUND + 1)
+            complement_duality_check(SubsetWindow(MAX_BOUND + 1, frozenset({2})))
 
     def test_generated_submonoid(self):
         view = SubmonoidView(PrimeSet.finite([2]))
@@ -208,7 +209,7 @@ class TestFreeMonoidBackend:
     def test_letter_submonoid_duality(self):
         universe = FREE_MONOID_AB.elements(5)
         a_words = {w for w in universe if set(w) <= {"a"}}
-        report = complement_duality_check(monoid=FREE_MONOID_AB, members=a_words, bound=5)
+        report = complement_duality_check(SubsetWindow(5, frozenset(a_words)), FREE_MONOID_AB)
         assert report.subset.factorial_submonoid.holds
         assert report.complement.prime_ideal.holds
         assert report.consistent
@@ -216,7 +217,7 @@ class TestFreeMonoidBackend:
     def test_even_length_words(self):
         universe = FREE_MONOID_AB.elements(5)
         even = {w for w in universe if len(w) % 2 == 0}
-        report = complement_duality_check(monoid=FREE_MONOID_AB, members=even, bound=5)
+        report = complement_duality_check(SubsetWindow(5, frozenset(even)), FREE_MONOID_AB)
         assert report.subset.proper_subsemigroup.holds
         assert report.complement.prime.holds
         assert not report.subset.factorial.holds
@@ -226,9 +227,10 @@ class TestFreeMonoidBackend:
         assert len(FREE_MONOID_AB.elements(3)) == 1 + 2 + 4 + 8
 
     def test_left_ideal_is_not_two_sided(self):
-        # words ending in b absorb every left factor but not a right one
+        # words ending in b absorb every left factor but not a right one:
+        # the witness puts the member b on the left of the product
         ending_in_b = {w for w in FREE_MONOID_AB.elements(4) if w.endswith("b")}
-        assert _check_ideal(FREE_MONOID_AB, ending_in_b, 4) == PredicateResult(False, ("a", "b", "ba"))
+        assert _check_ideal(FREE_MONOID_AB, ending_in_b, 4) == PredicateResult(False, ("ba", "b", "a"))
 
     def test_unit_laws_on_sampled_elements(self):
         for monoid, sample in (

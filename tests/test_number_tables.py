@@ -73,7 +73,7 @@ def test_every_small_n_matches_trial_division(empty_tables):
     for n in range(1, 5001):
         assert_matches_trial_division(n)
     for n in range(1, 5001):
-        assert NATURALS_MONOID.factor_pairs(n) == trial_pairs(n) == divisor_pairs(n), n
+        assert list(NATURALS_MONOID.factor_pairs(n)) == trial_pairs(n) == divisor_pairs(n), n
 
 
 def test_growth_boundaries_and_the_switch_to_trial_division(empty_tables):
@@ -92,7 +92,7 @@ def test_growth_boundaries_and_the_switch_to_trial_division(empty_tables):
     assert prime_factorize(MAX_BOUND + 1) == [11, 9091]
     assert len(monoids._SMALLEST_PRIME_FACTOR.covering(MAX_BOUND)) == MAX_BOUND + 1
     for n in probes + [98280]:
-        assert NATURALS_MONOID.factor_pairs(n) == trial_pairs(n), n
+        assert list(NATURALS_MONOID.factor_pairs(n)) == trial_pairs(n), n
     assert len(monoids._DIVISORS.covering(MAX_BOUND)) == MAX_BOUND + 1
 
 

@@ -1,16 +1,20 @@
 """Differential tests of the shared window predicates and the set-based
-lattice check against the per-n reference loops in `window_reference`."""
+lattice check against the per-n reference loops in `window_reference`,
+and a check of every search's ``(product, left, right)`` witness in both
+monoid backends."""
 
 from random import Random
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 import window_reference as ref
 from cuntzsum import (
+    FREE_MONOID_AB,
     PrimeSet,
     SubmonoidView,
+    SubsetWindow,
     classify_component_set,
     is_factorial,
     is_ideal,
@@ -20,6 +24,7 @@ from cuntzsum import (
     subset_window,
     window_of,
 )
+from cuntzsum.monoids import NATURALS_MONOID, _check_factorial, _check_ideal, _check_prime, _check_subsemigroup
 
 PRIMES = (2, 3, 5, 7, 11, 13, 37)
 
@@ -50,9 +55,42 @@ def windows(draw, max_bound=80):
     return subset_window(bound, members)
 
 
-def _product_last(witness):
-    """A reference witness ``(product, a, b)`` in the predicates' order ``(a, b, product)``."""
-    return None if witness is None else (*witness[1:], witness[0])
+@st.composite
+def free_windows(draw, max_bound=4):
+    """A window of the free monoid on {a, b}: words of length <= bound."""
+    bound = draw(st.integers(0, max_bound))
+    members = draw(st.sets(st.sampled_from(FREE_MONOID_AB.elements(bound))))
+    if draw(st.booleans()):
+        members.add(FREE_MONOID_AB.unit)
+    return SubsetWindow(bound, frozenset(members))
+
+
+# What each search's witness (p, l, r) must show about the member set S.
+_WITNESS_CONDITIONS = {
+    _check_subsemigroup: lambda S, p, l, r: l in S and r in S and p not in S,
+    _check_ideal: lambda S, p, l, r: (l in S or r in S) and p not in S,
+    _check_factorial: lambda S, p, l, r: p in S and not (l in S and r in S),
+    _check_prime: lambda S, p, l, r: p in S and l not in S and r not in S,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    windows().map(lambda window: (NATURALS_MONOID, window)),
+    free_windows().map(lambda window: (FREE_MONOID_AB, window)),
+))
+def test_every_search_witness_is_product_left_right(case):
+    monoid, window = case
+    members = set(window.members)
+    assume(members)  # the searches assume a nonempty member set
+    for search, condition in _WITNESS_CONDITIONS.items():
+        result = search(monoid, members, window.bound)
+        if result.holds:
+            continue
+        p, l, r = result.witness
+        assert p == monoid.op(l, r), search.__name__
+        assert monoid.size(p) <= window.bound, search.__name__
+        assert condition(members, p, l, r), search.__name__
 
 
 @settings(max_examples=400, deadline=None)
@@ -68,8 +106,8 @@ def test_predicates_match_reference(window):
     verdicts = {
         is_factorial: ref.divisor_closure_witness(members, bound),
         is_prime_subset: ref.prime_witness(members, bound),
-        is_subsemigroup: _product_last(ref.product_closure_witness(members, bound)),
-        is_ideal: _product_last(ref.ideal_witness(members, bound)),
+        is_subsemigroup: ref.product_closure_witness(members, bound),
+        is_ideal: ref.ideal_witness(members, bound),
     }
     for predicate, witness in verdicts.items():
         result = predicate(window)

@@ -24,6 +24,7 @@ from .bialgebra import (
     phi,
 )
 from .classify import (
+    Classification,
     classify_component_set,
     decompose,
     lattice_iso_check,
@@ -42,9 +43,9 @@ from .monoids import (
     PowerSubmonoid,
     PrimeSet,
     SubmonoidView,
+    _check_bound,
     submonoid_member,
     subset_window,
-    window_of,
 )
 from .suites import SuiteConfig, run_property_suite
 
@@ -86,13 +87,19 @@ def _prime_set_spec(text: str) -> PrimeSet:
     return _PRIME_SET_KINDS[kind](_parse_prime_list(payload))
 
 
-def _parse_set_spec(spec: str, bound: int):
-    """``primes:2,3`` / ``coprimes:2`` / ``list:1,4,16`` -> window + scope."""
+def _classify_set_spec(spec: str, bound: int) -> tuple[Classification, str]:
+    """``primes:2,3`` / ``coprimes:2`` / ``list:1,4,16`` -> classification + scope.
+
+    A set of primes generates a factorial, product-closed submonoid, whose
+    components carry a subbialgebra at every bound; a list is searched.
+    """
     kind, _, payload = spec.partition(":")
     if kind == "list":
-        return subset_window(bound, _parse_prime_list(payload)), "window"
+        return classify_component_set(subset_window(bound, _parse_prime_list(payload))), "window"
     if kind in _PRIME_SET_KINDS:
-        return window_of(SubmonoidView(_prime_set_spec(spec)), bound), "global"
+        _prime_set_spec(spec)
+        _check_bound(bound)
+        return Classification("subbialgebra", None), "global"
     raise InputError(f"unknown set spec {spec!r}; use primes:, coprimes:, or list:")
 
 
@@ -232,8 +239,7 @@ def run_command(args) -> int:
         print(_tensor_out(phi(args.n, args.m, parse_element(args.expr)), fmt))
         return 0
     if cmd == "classify":
-        window, scope = _parse_set_spec(args.set_spec, args.bound)
-        result = classify_component_set(window)
+        result, scope = _classify_set_spec(args.set_spec, args.bound)
         if fmt == "machine":
             witness = ",".join(str(v) for v in result.witness) if result.witness else "-"
             print(f"{result.verdict} {witness} {scope}")

@@ -20,6 +20,7 @@ import operator
 import threading
 from bisect import bisect_right
 from collections import Counter
+from dataclasses import dataclass
 from math import isqrt
 from typing import Iterable, NamedTuple
 
@@ -52,9 +53,11 @@ MAX_FACTOR = 10**12
 
 # Largest window bound that `window_of` and `subset_window` accept.  A
 # window is scanned element by element and pair by pair, so time and
-# memory grow with the bound: at this bound `lattice` takes about 0.2 s
-# and `classify` up to about 0.6 s, with a divisor table of about 20 MB.
-# The number-theory tables cover 1..MAX_BOUND.
+# memory grow with the bound: at this bound `lattice` takes about 0.5 s,
+# and `classify` of a `list:` spec of 20,000 members about 0.3 s.  Of the
+# commands, only `classify` of a `list:` spec and `suite` build the
+# divisor table, about 20 MB at this bound.  The number-theory tables
+# cover 1..MAX_BOUND.
 MAX_BOUND = 10**5
 
 
@@ -172,21 +175,23 @@ def divisor_triple_count(n: int) -> int:
     return count
 
 
+@dataclass(frozen=True, slots=True)
 class PrimeSet:
-    """A finite or cofinite set of prime numbers."""
+    """A finite or cofinite set of prime numbers.
 
-    __slots__ = ("cofinite", "primes")
+    ``primes`` may be any iterable of ints; it is stored as a frozenset.
+    """
 
-    def __init__(self, primes: Iterable[int] = (), cofinite: bool = False):
-        primes = frozenset(int(p) for p in primes)
+    primes: frozenset[int] = frozenset()
+    cofinite: bool = False
+
+    def __post_init__(self):
+        primes = frozenset(int(p) for p in self.primes)
         for p in primes:
             if not is_prime(p):
                 raise InputError(f"{p} is not prime")
         object.__setattr__(self, "primes", primes)
-        object.__setattr__(self, "cofinite", bool(cofinite))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PrimeSet is immutable")
+        object.__setattr__(self, "cofinite", bool(self.cofinite))
 
     @classmethod
     def finite(cls, primes: Iterable[int]) -> "PrimeSet":
@@ -233,14 +238,6 @@ class PrimeSet:
         # Modes differ beyond every listed prime.
         return next_prime_after(max(listed, default=1))
 
-    def __eq__(self, other):
-        if not isinstance(other, PrimeSet):
-            return NotImplemented
-        return self.cofinite == other.cofinite and self.primes == other.primes
-
-    def __hash__(self):
-        return hash((self.cofinite, self.primes))
-
     def describe(self) -> str:
         inside = ",".join(str(p) for p in sorted(self.primes)) or "-"
         return f"coprimes:{inside}" if self.cofinite else f"primes:{inside}"
@@ -249,16 +246,11 @@ class PrimeSet:
         return f"PrimeSet({self.describe()})"
 
 
+@dataclass(frozen=True, slots=True)
 class SubmonoidView:
     """Submonoid generated by a prime set; membership decided globally."""
 
-    __slots__ = ("generator_set",)
-
-    def __init__(self, generator_set: PrimeSet):
-        object.__setattr__(self, "generator_set", generator_set)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SubmonoidView is immutable")
+    generator_set: PrimeSet
 
     def contains(self, n: int) -> bool:
         if n < 1:
@@ -274,30 +266,19 @@ class SubmonoidView:
             n //= p
         return True
 
-    def __eq__(self, other):
-        if not isinstance(other, SubmonoidView):
-            return NotImplemented
-        return self.generator_set == other.generator_set
-
-    def __hash__(self):
-        return hash(self.generator_set)
-
     def __repr__(self):
         return f"SubmonoidView({self.generator_set.describe()})"
 
 
+@dataclass(frozen=True, slots=True)
 class PowerSubmonoid:
     """The submonoid {1, k, k^2, ...}; not factorial for composite k."""
 
-    __slots__ = ("base",)
+    base: int
 
-    def __init__(self, base: int):
-        if base < 2:
-            raise InputError(f"power submonoid needs base >= 2, got {base}")
-        object.__setattr__(self, "base", base)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PowerSubmonoid is immutable")
+    def __post_init__(self):
+        if self.base < 2:
+            raise InputError(f"power submonoid needs base >= 2, got {self.base}")
 
     def contains(self, n: int) -> bool:
         if n < 1:
@@ -409,7 +390,7 @@ FREE_MONOID_AB = FreeMonoid()
 # ---------------------------------------------------------------------------
 # Windowed subset predicates
 #
-# The four `_check_*` searches are the only deciders of these properties,
+# The `_check_*` searches are the only deciders of these properties,
 # for the duality reports and for `classify` alike.  Each reports its
 # first failure as ``(product, left, right)`` with product == op(left,
 # right), and `classify` passes that triple on unchanged.  They assume a
@@ -417,7 +398,9 @@ FREE_MONOID_AB = FreeMonoid()
 # (whole-window) cases before any search runs.  A backend yields
 # ``elements(bound)`` in nondecreasing size, and its ``cofactor_cap``
 # does not grow with the size, so a search may stop at the first element
-# that has no cofactor left in the window.  A ``commutative`` backend
+# that has no cofactor left in the window.  The subsemigroup and ideal
+# searches share one product search, `_check_products`: members times
+# members, and window elements times members.  A ``commutative`` backend
 # has op(a, s) == op(s, a), so the ideal search looks up one side only.
 
 class PredicateResult(NamedTuple):
@@ -430,31 +413,17 @@ def _ordered(monoid, members):
     return sorted(members, key=monoid.order_key)
 
 
-def _check_subsemigroup(monoid, members: set, bound: int) -> PredicateResult:
-    """First ``(ab, a, b)`` with ``ab`` in the window but not in ``members``."""
-    ordered = _ordered(monoid, members)
-    sizes = [monoid.size(a) for a in ordered]
-    for a, size in zip(ordered, sizes):
-        cofactors = ordered[:bisect_right(sizes, monoid.cofactor_cap(size, bound))]
-        if not cofactors:
-            break
-        for b in cofactors:
-            ab = monoid.op(a, b)
-            if ab not in members:
-                return PredicateResult(False, (ab, a, b))
-    return PredicateResult(True, None)
+def _check_products(monoid, outer, members: set, bound: int, two_sided: bool) -> PredicateResult:
+    """First product of an ``outer`` element ``a`` and a member ``s`` that leaves ``members``.
 
-
-def _check_ideal(monoid, members: set, bound: int) -> PredicateResult:
-    """First product leaving ``members``: cofactor ``a`` outer, member ``s`` inner.
-
-    The witness is ``(op(a, s), a, s)``, or ``(op(s, a), s, a)`` when
-    only the right product leaves.
+    ``outer`` runs in nondecreasing size and ``s`` in member order.  The
+    witness is ``(op(a, s), a, s)``, or, when ``two_sided``,
+    ``(op(s, a), s, a)`` when only the right product leaves.
     """
     ordered = _ordered(monoid, members)
     sizes = [monoid.size(s) for s in ordered]
-    op, two_sided = monoid.op, not monoid.commutative
-    for a in monoid.elements(bound):
+    op = monoid.op
+    for a in outer:
         inner = ordered[:bisect_right(sizes, monoid.cofactor_cap(monoid.size(a), bound))]
         if not inner:
             break
@@ -467,6 +436,16 @@ def _check_ideal(monoid, members: set, bound: int) -> PredicateResult:
                 if prod not in members:
                     return PredicateResult(False, (prod, s, a))
     return PredicateResult(True, None)
+
+
+def _check_subsemigroup(monoid, members: set, bound: int) -> PredicateResult:
+    """First ``(ab, a, b)`` with ``ab`` in the window but not in ``members``."""
+    return _check_products(monoid, _ordered(monoid, members), members, bound, two_sided=False)
+
+
+def _check_ideal(monoid, members: set, bound: int) -> PredicateResult:
+    """First product leaving ``members``: cofactor ``a`` outer, member ``s`` inner."""
+    return _check_products(monoid, monoid.elements(bound), members, bound, two_sided=not monoid.commutative)
 
 
 def _check_factorial(monoid, members: set, bound: int) -> PredicateResult:

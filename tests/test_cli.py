@@ -9,11 +9,13 @@ from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
+from cuntzsum import cli, monoids
 from cuntzsum.algebra import MAX_PUSHED_KEYS
+from cuntzsum.classify import classify_component_set
 from cuntzsum.cli import build_parser, main
-from cuntzsum.monoids import MAX_BOUND, MAX_DIVISOR_TRIPLES, MAX_FACTOR
+from cuntzsum.monoids import MAX_BOUND, MAX_DIVISOR_TRIPLES, MAX_FACTOR, PrimeSet, SubmonoidView, window_of
 
 # Python 3.10.7 and later refuse to convert ints of more than 4,300
 # digits to or from text unless told otherwise.
@@ -97,6 +99,18 @@ class TestQueries:
         assert code == 0
         assert out == "subbialgebra\nscope: global\n"
 
+    def test_prime_set_classify_runs_no_window_search(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a window search ran")
+
+        monkeypatch.setattr(cli, "classify_component_set", refuse)
+        monkeypatch.setattr(monoids, "_divisor_lists", refuse)
+        # the table binds its builder when made, so swap in an empty one on the refusing builder
+        monkeypatch.setattr(monoids, "_DIVISORS", monoids._GrowingTable(monoids._divisor_lists))
+        argv = ("classify", "--set", "coprimes:2", "--bound", str(MAX_BOUND))
+        assert run(capsys, *argv) == (0, "subbialgebra\nscope: global\n", "")
+        assert run(capsys, *argv, "--format", "machine") == (0, "subbialgebra - global\n", "")
+
     def test_decompose(self, capsys):
         code, out, _ = run(capsys, "decompose", "--primes", "2", "s(2,1) + s(3,1)")
         assert code == 0
@@ -120,6 +134,31 @@ class TestQueries:
             "--format", "machine",
         )
         assert code == 0 and out == "none 4,2,2 window\n"
+
+
+def _classify_lines(result, scope, fmt):
+    """What ``classify`` prints for ``result`` in format ``fmt``."""
+    witness = ",".join(map(str, result.witness)) if result.witness else None
+    if fmt == "machine":
+        return f"{result.verdict} {witness or '-'} {scope}\n"
+    return result.verdict + "\n" + (f"witness: ({witness})\n" if witness else "") + f"scope: {scope}\n"
+
+
+@given(
+    st.sets(st.sampled_from([2, 3, 5, 7, 11, 13]), max_size=4),
+    st.booleans(),
+    st.integers(1, 2000),
+    st.sampled_from(["text", "machine"]),
+)
+@settings(max_examples=40, deadline=None)
+def test_prime_set_classify_matches_the_window_oracle(primes, cofinite, bound, fmt):
+    # the theorem's verdict against the window search over the generated submonoid
+    spec = ("coprimes:" if cofinite else "primes:") + ",".join(map(str, sorted(primes)))
+    oracle = classify_component_set(window_of(SubmonoidView(PrimeSet(primes, cofinite)), bound))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["classify", "--set", spec, "--bound", str(bound), "--format", fmt])
+    assert (code, out.getvalue(), err.getvalue()) == (0, _classify_lines(oracle, "global", fmt), "")
 
 
 class TestChecks:
@@ -173,6 +212,9 @@ class TestErrors:
         assert code == 2 and err == "error: power submonoid needs base >= 2, got 0\n"
         code, out, err = run(capsys, "deltaH", "--primes-powers", "4", "I(4) + I(2) + I(8)")
         assert (code, out, err) == (2, "", "error: component 2 lies outside the submonoid\n")
+        # the spec, then its primes, then the bound
+        code, out, err = run(capsys, "classify", "--set", "primes:2,4", "--bound", "0")
+        assert (code, out, err) == (2, "", "error: 4 is not prime\n")
 
     def test_unknown_command_exit_2(self, capsys):
         # argparse raises SystemExit on unknown subcommands; main converts
@@ -465,7 +507,19 @@ _argvs = st.one_of(
 )
 
 
+def _named_components(expr):
+    """Components that ``s(n,...)`` / ``I(n)`` in ``expr`` name, among those up to MAX_FACTOR.
+
+    A digit run longer than MAX_FACTOR's, leading zeros aside, names no
+    component the program factors, and int() may refuse to convert it.
+    """
+    width = len(str(MAX_FACTOR))
+    runs = (run.lstrip("0") or "0" for run in re.findall(r"[sI]\((\d+)", expr))
+    return {int(run) for run in runs if len(run) <= width}
+
+
 @given(_argvs)
+@example(["coassoc", "I(" + "1" * 4301 + ")"])
 @settings(max_examples=150, deadline=None)
 def test_fuzzed_commands_exit_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -483,7 +537,7 @@ def test_fuzzed_commands_exit_cleanly(argv):
     projection_split = re.fullmatch(r"I\((\d+)\) \+ \[-1\] \* s\(\1,1\)\*s\(\1,1\)\^\*", argv[1])
     if argv[0] in ("norm", "delta") and projection_split and int(projection_split[1]) > MAX_PUSHED_KEYS:
         assert code == 2 and elapsed < 1.0, argv
-    if argv[0] == "coassoc" and not _OVER_TRIPLE_CAP.isdisjoint(map(int, re.findall(r"[sI]\((\d+)", argv[1]))):
+    if argv[0] == "coassoc" and not _OVER_TRIPLE_CAP.isdisjoint(_named_components(argv[1])):
         assert code == 2 and elapsed < 1.0, argv
 
 

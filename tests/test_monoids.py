@@ -74,10 +74,24 @@ class TestFactorPairs:
 
 class TestPrimeSet:
     def test_validation(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^4 is not prime$"):
             PrimeSet.finite([4])
         with pytest.raises(InputError):
             PrimeSet.finite([1])
+
+    def test_immutable(self):
+        f = PrimeSet.finite([2, 3])
+        with pytest.raises(AttributeError):
+            f.primes = frozenset([5])
+        with pytest.raises(AttributeError):
+            f.cofinite = True
+        assert f == PrimeSet.finite([2, 3])
+
+    def test_equal_sets_hash_equal(self):
+        # any iterable of ints, in any order, normalises to one value
+        f, g = PrimeSet.finite([3, 2, 3]), PrimeSet((2, 3))
+        assert f == g and hash(f) == hash(g)
+        assert len({f, g, PrimeSet.excluding([2, 3])}) == 2
 
     def test_contains(self):
         f = PrimeSet.finite([2, 3])
@@ -127,8 +141,22 @@ class TestSubmonoidMembership:
     def test_power_submonoid(self):
         h = PowerSubmonoid(4)
         assert [n for n in range(1, 70) if h.contains(n)] == [1, 4, 16, 64]
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"^power submonoid needs base >= 2, got 1$"):
             PowerSubmonoid(1)
+
+    def test_views_are_immutable_values(self):
+        view = SubmonoidView(PrimeSet.finite([2]))
+        with pytest.raises(AttributeError):
+            view.generator_set = PrimeSet.finite([3])
+        h = PowerSubmonoid(4)
+        with pytest.raises(AttributeError):
+            h.base = 2
+        assert view.contains(8) and h.contains(16)
+        same = SubmonoidView(PrimeSet.finite([2]))
+        assert view == same and hash(view) == hash(same)
+        assert len({view, same, SubmonoidView(PrimeSet.finite([3]))}) == 2
+        assert PowerSubmonoid(4) == h and PowerSubmonoid(2) != h
+        assert len({h, PowerSubmonoid(4), PowerSubmonoid(2)}) == 2
 
     def test_input_validation(self):
         with pytest.raises(InputError):

@@ -2,7 +2,7 @@
 
 The embedding of component n*m into the component pair (n, m) sends the
 a-th generator to ``s_i (x) s_j`` where ``a - 1 = m*(i - 1) + (j - 1)``;
-words split letterwise, so the map is multiplicative and *-preserving by
+words split letterwise (`_split_monomial`), so phi is a *-homomorphism by
 construction.  It sends distinct monomials to distinct monomial pairs
 and keeps coefficients, so on a sum it is a rewrite of keys, one leg at
 a time (`_split_leg`), for `phi`, both comultiplications and both
@@ -36,17 +36,12 @@ from . import mutations
 from .monoids import MAX_DIVISOR_TRIPLES, divisor_pairs, divisor_triple_count
 
 
-def _split_letter(a: int, n: int, m: int) -> tuple[int, int]:
-    # a - 1 = m*(i - 1) + (j - 1), the single source of truth for phi.
-    q, r = divmod(a - 1, m)
-    return q + 1, r + 1
-
-
 def _split_monomial(mono: CuntzMonomial, n: int, m: int) -> tuple[CuntzMonomial, CuntzMonomial]:
-    mu_pairs = [_split_letter(a, n, m) for a in mono.mu]
-    nu_pairs = [_split_letter(a, n, m) for a in mono.nu]
-    left = monomial(n, (i for i, _ in mu_pairs), (i for i, _ in nu_pairs))
-    right = monomial(m, (j for _, j in mu_pairs), (j for _, j in nu_pairs))
+    """The halves of ``mono`` in components n and m, letter a going to i and j with a - 1 =
+    m*(i - 1) + (j - 1), the single source of truth for phi; a component-1 half keeps no letters: I_1."""
+    mu, nu = mono.mu, mono.nu
+    left = CuntzMonomial(n, tuple((a - 1) // m + 1 for a in mu if n > 1), tuple((a - 1) // m + 1 for a in nu if n > 1))
+    right = CuntzMonomial(m, tuple((a - 1) % m + 1 for a in mu if m > 1), tuple((a - 1) % m + 1 for a in nu if m > 1))
     return left, right
 
 

@@ -9,12 +9,13 @@ commutativity.
 
 Up to MAX_BOUND, factorization reads a shared smallest-prime-factor
 sieve and the window searches read a shared divisor table; both are
-built on first use and grown by doubling.  Above MAX_BOUND, trial
-division factors numbers up to MAX_FACTOR.
+built on first use and grown by doubling.  Above MAX_BOUND, and for the
+divisor pairs at every n, one trial-division loop factors up to MAX_FACTOR.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import threading
@@ -46,8 +47,9 @@ def next_prime_after(n: int) -> int:
 
 
 # Largest n that `prime_factorize` and `divisor_pairs` accept.  Trial
-# division runs up to sqrt(n), so a prime just below this limit still
-# factors in about 0.1 s, while a 19-digit prime would take 10^9 steps.
+# division runs up to sqrt(n): `cuntzsum delta "I(999999999989)"`, a prime
+# just below this limit, takes 0.24 s in a fresh process (0.19 s of it
+# start-up, 2-CPU Xeon); a 19-digit prime would take 10^9 steps.
 MAX_FACTOR = 10**12
 
 
@@ -64,9 +66,9 @@ MAX_BOUND = 10**5
 # Largest number of ordered divisor triples (a, b, c), abc = n, summed
 # over the terms of an element (n the term's component), that the
 # coassociativity check accepts.  It splits each term once per triple:
-# as a `coassoc` command, I(720720), with 7,290, takes about 0.4 s and
-# I(12612600), with 19,440, about 0.75 s; I(963761198400), with
-# 1,837,080, would take about a minute at that rate.
+# as a `coassoc` command in a fresh process, with the same start-up,
+# I(720720), with 7,290, takes about 0.35 s and I(12612600), with 19,440,
+# about 0.65 s; I(963761198400), with 1,837,080, would take about 45 s.
 MAX_DIVISOR_TRIPLES = 20_000
 
 
@@ -137,34 +139,42 @@ _SMALLEST_PRIME_FACTOR = _GrowingTable(_smallest_prime_factors)
 _DIVISORS = _GrowingTable(_divisor_lists)
 
 
+@functools.lru_cache(maxsize=64)
+def _trial_factors(n: int) -> tuple[int, ...]:
+    """Prime factors of n, ascending, by trial division; memoised so `coassoc` factors a component once."""
+    twos = (n & -n).bit_length() - 1  # the exponent of 2 in n
+    factors, n, d = [2] * twos, n >> twos, 3
+    while True:
+        for d in range(d, isqrt(n) + 1, 2):
+            if n % d == 0:
+                break
+        else:
+            return tuple(factors + [n] if n > 1 else factors)
+        factors.append(d)
+        n //= d
+
+
 def prime_factorize(n: int) -> list[int]:
     """Prime factors with multiplicity, ascending; empty for n = 1."""
     _check_factorable(n, "prime_factorize")
+    if n > MAX_BOUND:
+        return list(_trial_factors(n))
     factors = []
-    if n <= MAX_BOUND:
-        spf = _SMALLEST_PRIME_FACTOR.covering(n)
-        while n > 1:
-            p = spf[n]
-            factors.append(p)
-            n //= p
-        return factors
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            factors.append(d)
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        factors.append(n)
+    spf = _SMALLEST_PRIME_FACTOR.covering(n)
+    while n > 1:
+        p = spf[n]
+        factors.append(p)
+        n //= p
     return factors
 
 
 def divisor_pairs(n: int) -> list[tuple[int, int]]:
-    """Ordered pairs (m, l) with m*l == n, in increasing m."""
+    """Ordered pairs (m, l) with m*l == n, in increasing m; read from the factors, not a table."""
     _check_factorable(n, "divisor_pairs")
-    small = [m for m in range(1, isqrt(n) + 1) if n % m == 0]
-    divisors = small + [n // m for m in reversed(small) if m * m != n]
-    return [(m, n // m) for m in divisors]
+    divisors = [1]
+    for p, e in Counter(_trial_factors(n)).items():
+        divisors = [d * p**k for k in range(e + 1) for d in divisors]
+    return [(m, n // m) for m in sorted(divisors)]
 
 
 def divisor_triple_count(n: int) -> int:

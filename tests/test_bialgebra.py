@@ -1,11 +1,13 @@
 from collections import Counter
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import elements
+from conftest import elements, scalars
 from cuntzsum import (
+    AlgebraElement,
     InputError,
     PowerSubmonoid,
     NATURALS,
@@ -80,6 +82,45 @@ class TestPhi:
     def test_support_validation(self):
         with pytest.raises(InputError):
             phi(2, 2, generator(6, 1))
+
+
+PHI_PAIRS = [(n, m) for n in range(1, 25) for m in range(1, 24 // n + 1)]
+
+
+def letter_by_letter_phi(n, m, x):
+    """phi's term map built by splitting each letter, a - 1 = m*(i - 1) + (j - 1),
+    and validating each half through `monomial`, which collapses component 1."""
+    data = {}
+    for mono, c in x.items():
+        mu = [divmod(a - 1, m) for a in mono.mu]
+        nu = [divmod(a - 1, m) for a in mono.nu]
+        left = monomial(n, [q + 1 for q, _ in mu], [q + 1 for q, _ in nu])
+        right = monomial(m, [r + 1 for _, r in mu], [r + 1 for _, r in nu])
+        data[(left, right)] = c
+    return data
+
+
+@st.composite
+def phi_cases(draw):
+    n, m = draw(st.sampled_from(PHI_PAIRS))
+    word = st.lists(st.integers(1, n * m), max_size=3)
+    terms = draw(st.lists(st.tuples(word, word, scalars(nonzero=True)), max_size=3))
+    return n, m, AlgebraElement({monomial(n * m, mu, nu): c for mu, nu, c in terms})
+
+
+@given(phi_cases())
+@settings(max_examples=300, deadline=None)
+def test_phi_matches_the_letter_by_letter_split(case):
+    n, m, x = case
+    assert dict(phi(n, m, x).items()) == letter_by_letter_phi(n, m, x)
+
+
+def test_phi_matches_the_letter_by_letter_split_on_every_short_word():
+    for n, m in PHI_PAIRS:
+        letters = range(1, n * m + 1)
+        words = [()] + [(a,) for a in letters] + [(a, b) for a in letters for b in (1, m, n * m)]
+        x = AlgebraElement({monomial(n * m, mu, nu): 1 for mu in words for nu in words[: n * m + 1]})
+        assert dict(phi(n, m, x).items()) == letter_by_letter_phi(n, m, x), (n, m)
 
 
 class TestDelta:

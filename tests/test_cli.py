@@ -111,6 +111,18 @@ class TestQueries:
         assert run(capsys, *argv) == (0, "subbialgebra\nscope: global\n", "")
         assert run(capsys, *argv, "--format", "machine") == (0, "subbialgebra - global\n", "")
 
+    def test_large_components_build_no_number_table(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a number table was built")
+
+        # the tables bind their builders when made, so swap in empty ones on the refusing builders
+        for builder, table in (("_smallest_prime_factors", "_SMALLEST_PRIME_FACTOR"), ("_divisor_lists", "_DIVISORS")):
+            monkeypatch.setattr(monoids, builder, refuse)
+            monkeypatch.setattr(monoids, table, monoids._GrowingTable(refuse))
+        code, out, err = run(capsys, "delta", "I(99991)")
+        assert (code, out, err) == (0, "(I(1)) ⊗ (I(99991)) + (I(99991)) ⊗ (I(1))\n", "")
+        assert run(capsys, "coassoc", "I(999999999989)") == (0, "true\n", "")
+
     def test_decompose(self, capsys):
         code, out, _ = run(capsys, "decompose", "--primes", "2", "s(2,1) + s(3,1)")
         assert code == 0

@@ -4,11 +4,13 @@ switch to trial division above MAX_BOUND, and under concurrent growth."""
 
 import sys
 import threading
+from collections import Counter
 from math import isqrt
 
 import pytest
 
 from cuntzsum import monoids
+from cuntzsum.cli import main
 from cuntzsum.monoids import (
     MAX_BOUND,
     NATURALS_MONOID,
@@ -106,6 +108,33 @@ def test_a_covering_table_is_not_rebuilt(empty_tables):
 @pytest.mark.parametrize("n", [1, 2, 12, 720720, 963761198400, 999999999989])
 def test_divisor_triple_count(n):
     assert divisor_triple_count(n) == sum(len(divisor_pairs(l)) for _, l in divisor_pairs(n))
+
+
+# 999983**2 is a prime square: its root is the last divisor the loop may try
+@pytest.mark.parametrize("n", [10**12, 963761198400, 999999999989, 2 * 499999999979, 999983**2])
+def test_large_n_matches_trial_division(n):
+    assert n > MAX_BOUND
+    assert prime_factorize(n) == trial_factors(n)
+    assert divisor_pairs(n) == trial_pairs(n)
+
+
+def test_coassoc_trial_divides_each_large_component_once(capsys, monkeypatch):
+    primes = (100003, 100019, 100043)
+    memo = monoids._trial_factors
+    memo.cache_clear()
+    asked = Counter()
+
+    def counting(n):
+        asked[n] += 1
+        return memo(n)
+
+    monkeypatch.setattr(monoids, "_trial_factors", counting)
+    assert main(["coassoc", " + ".join(f"I({p})" for p in primes)]) == 0
+    assert capsys.readouterr().out == "true\n"
+    # the triple count and the divisor pairs both ask about each p ...
+    assert all(asked[p] >= 2 for p in primes), asked
+    # ... and each distinct n asked about was trial-divided once
+    assert memo.cache_info().misses == len(asked)
 
 
 @pytest.mark.parametrize("round_", range(4))

@@ -3,7 +3,8 @@
 Exit codes: 0 on success (including query answers like ``false`` from
 ``member``), 1 when a verification command finds a failure (``eq``,
 ``coassoc``, ``counitlaws``, ``wcs``, ``quotient``, ``lattice``,
-``suite``), 2 on usage, parse, or domain errors.
+``suite``), 2 on usage, parse, or domain errors, and 2 from the process
+entry when stdout is closed before the output is written.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import mutations
@@ -324,5 +326,18 @@ def main(argv=None) -> int:
         return 2
 
 
+def console_main() -> int:
+    """The process entry (console script, ``python -m cuntzsum``): `main`, exit 2 on a closed stdout."""
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe shows here, not in the interpreter's final flush
+    except BrokenPipeError:
+        # As the Python docs' note on SIGPIPE does: point fd 1 at devnull, so
+        # the final flush of what is still buffered does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

@@ -178,9 +178,13 @@ def divisor_pairs(n: int) -> list[tuple[int, int]]:
 
 
 def divisor_triple_count(n: int) -> int:
-    """Number of ordered triples (a, b, c) with abc == n: the product of C(e+2, 2) over n's prime exponents e."""
+    """Number of ordered triples (a, b, c) with abc == n: the product of C(e+2, 2) over n's prime exponents e.
+
+    Read from trial division, not the sieve, so `coassoc` builds no number table.
+    """
+    _check_factorable(n, "prime_factorize")
     count = 1
-    for e in Counter(prime_factorize(n)).values():
+    for e in Counter(_trial_factors(n)).values():
         count *= (e + 2) * (e + 1) // 2
     return count
 

@@ -179,25 +179,42 @@ def random_prime_set(rng: Random, cofinite_chance: float = 0.2) -> PrimeSet:
 # Suites
 
 
+def _word_products(n, alphabet, max_length):
+    """Each word over ``alphabet`` of length <= ``max_length``, in `iproduct`
+    order, with its product: the left fold of its letters from unit(n).
+
+    A word's fold is its prefix's fold times one letter, and the word at
+    index ``len(alphabet) * i + j`` of a level has prefix ``i`` of the level
+    before and last letter ``j``.  So each word costs one product; only the
+    level before is kept, and the deepest level is streamed.
+    """
+    letters = [generator(n, i).adjoint() if starred else generator(n, i) for i, starred in alphabet]
+    previous = [unit(n)]
+    for length in range(max_length + 1):
+        folds = previous if length == 0 else (p * x for p in previous for x in letters)
+        current = []
+        for pattern, folded in zip(iproduct(alphabet, repeat=length), folds):
+            yield pattern, folded
+            if length < max_length:
+                current.append(folded)
+        previous = current
+
+
 def _suite_rewriting_termination(cfg, rng, fail):
     checks = 0
     alphabet = [(1, False), (1, True), (2, False), (2, True)]
-    for length in range(0, 7):
-        for pattern in iproduct(alphabet, repeat=length):
-            word = RawWord(2, pattern)
-            trace = reduction_trace(word)
-            if any(a - b != 2 for a, b in zip(trace, trace[1:])):
-                fail(f"non-shortening step on {pattern}")
-            result = reduce_word(word)
-            if len(result) > 1 or any(c != ONE for _, c in result.items()):
-                fail(f"reduction of {pattern} not a 0/1-coefficient monomial")
-            folded = unit(2)
-            for i, starred in pattern:
-                letter = generator(2, i)
-                folded = folded * (letter.adjoint() if starred else letter)
-            if folded != result:
-                fail(f"rewrite and product paths disagree on {pattern}")
-            checks += 3
+    # the product path: each word's product is its prefix's times one letter
+    for pattern, folded in _word_products(2, alphabet, 6):
+        word = RawWord(2, pattern)
+        trace = reduction_trace(word)
+        if any(a - b != 2 for a, b in zip(trace, trace[1:])):
+            fail(f"non-shortening step on {pattern}")
+        result = reduce_word(word)
+        if len(result) > 1 or any(c != ONE for _, c in result.items()):
+            fail(f"reduction of {pattern} not a 0/1-coefficient monomial")
+        if folded != result:
+            fail(f"rewrite and product paths disagree on {pattern}")
+        checks += 3
     for n in range(2, 7):
         for _ in range(60):
             length = rng.randint(7, 12)
@@ -744,13 +761,37 @@ _SUITES = (
 SUITE_NAMES = tuple(name for name, _ in _SUITES)
 
 
+# Largest suite knobs `run_property_suite` accepts.  `sample_count` scales
+# most suites linearly and `max_component` the units whose coproduct
+# `hom-property` checks; `max_word_len` bounds the words of the random
+# elements, and the dense oracle of `oracle-agreement` costs up to
+# 6^(max_word_len / 2) points per term (at 100 one run exhausted memory).
+# `cuntzsum suite --samples 1000 --max-component 1000 --max-word-len 10`
+# takes about 5 s in a fresh process (2-CPU Xeon); with `--bound 100000`
+# as well, every knob at its limit, about 94 s and 240 MB, nearly all of
+# it in `complement-duality` and `generated-submonoids-factorial`.
+MAX_SUITE_SAMPLES = 1000
+MAX_SUITE_COMPONENT = 1000
+MAX_SUITE_WORD_LEN = 10
+
+_KNOB_RANGES = (
+    ("bound", 1, MAX_BOUND),
+    ("max_component", 1, MAX_SUITE_COMPONENT),
+    ("max_word_len", 0, MAX_SUITE_WORD_LEN),
+    ("sample_count", 0, MAX_SUITE_SAMPLES),
+)
+
+
 def run_property_suite(cfg: SuiteConfig = SuiteConfig()) -> SuiteReport:
-    for name, least in (("bound", 1), ("max_component", 1), ("max_word_len", 0), ("sample_count", 0)):
+    # every lower limit is checked before any upper one, all before the first suite runs
+    for name, least, _ in _KNOB_RANGES:
         value = getattr(cfg, name)
         if value < least:
             raise InputError(f"suite {name} must be >= {least}, got {value}")
-    if cfg.bound > MAX_BOUND:  # caught here, before the first suite, not at a window
-        raise InputError(f"suite bound must be <= {MAX_BOUND}, got {cfg.bound}")
+    for name, _, most in _KNOB_RANGES:
+        value = getattr(cfg, name)
+        if value > most:
+            raise InputError(f"suite {name} must be <= {most}, got {value}")
     report = SuiteReport(cfg)
     for name, func in _SUITES:
         failures: list[str] = []

@@ -121,6 +121,7 @@ class TestQueries:
             monkeypatch.setattr(monoids, table, monoids._GrowingTable(refuse))
         code, out, err = run(capsys, "delta", "I(99991)")
         assert (code, out, err) == (0, "(I(1)) ⊗ (I(99991)) + (I(99991)) ⊗ (I(1))\n", "")
+        assert run(capsys, "coassoc", "I(99991)") == (0, "true\n", "")
         assert run(capsys, "coassoc", "I(999999999989)") == (0, "true\n", "")
 
     def test_decompose(self, capsys):
@@ -246,6 +247,20 @@ class TestErrors:
         code, out, err = run(capsys, "suite", *flag)
         assert code == 2 and out == ""
         assert err.startswith("error: suite ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [(("--max-component", "1001"), "max_component must be <= 1000, got 1001"),
+         (("--max-component", "1000000"), "max_component must be <= 1000, got 1000000"),
+         (("--samples", "1001"), "sample_count must be <= 1000, got 1001"),
+         (("--samples", "100000000"), "sample_count must be <= 1000, got 100000000"),
+         (("--max-word-len", "11"), "max_word_len must be <= 10, got 11"),
+         (("--max-word-len", "1000"), "max_word_len must be <= 10, got 1000")],
+    )
+    def test_suite_knob_above_its_limit_exits_2_fast(self, capsys, flag, message):
+        start = time.perf_counter()
+        assert run(capsys, "suite", *flag) == (2, "", f"error: suite {message}\n")
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("bound", [MAX_BOUND + 1, 10**6, 10**9])
     @pytest.mark.parametrize(
@@ -561,3 +576,24 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "I(2)\n"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv", [("norm", "I(2)"), ("suite", "--samples", "20")])
+def test_closed_stdout_exits_2_without_traceback(argv, unbuffered):
+    # stdout is a pipe whose read end is closed before the process starts,
+    # so the first write (unbuffered) or the flush (buffered) always fails
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cuntzsum", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=60, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (2, b"")

@@ -1,10 +1,21 @@
 import threading
+from itertools import product as iproduct
 
 import pytest
 
 from cuntzsum import SuiteConfig, run_property_suite
-from cuntzsum import mutations
-from cuntzsum.suites import SUITE_NAMES
+from cuntzsum import mutations, suites
+from cuntzsum.algebra import AlgebraElement, generator, unit
+from cuntzsum.errors import InputError
+from cuntzsum.monoids import MAX_BOUND
+from cuntzsum.suites import (
+    MAX_SUITE_COMPONENT,
+    MAX_SUITE_SAMPLES,
+    MAX_SUITE_WORD_LEN,
+    SUITE_NAMES,
+    _suite_rewriting_termination,
+    _word_products,
+)
 
 SMALL = SuiteConfig(seed=7, bound=120, max_component=8, max_word_len=2, sample_count=12)
 
@@ -149,3 +160,59 @@ def test_report_lines_shape():
 def test_unknown_mutation_rejected():
     with pytest.raises(ValueError):
         mutations.enable("frobnicate")
+
+
+_WORD_ALPHABET = [(1, False), (1, True), (2, False), (2, True)]
+
+
+def letter_by_letter_product(n, pattern):
+    """The reference product path: the word folded from unit(n), one fresh letter at a time."""
+    folded = unit(n)
+    for i, starred in pattern:
+        letter = generator(n, i)
+        folded = folded * (letter.adjoint() if starred else letter)
+    return folded
+
+
+def test_word_products_match_the_letter_by_letter_fold():
+    expected = [pattern for length in range(7) for pattern in iproduct(_WORD_ALPHABET, repeat=length)]
+    seen = []
+    for pattern, folded in _word_products(2, _WORD_ALPHABET, 6):
+        assert dict(folded.items()) == dict(letter_by_letter_product(2, pattern).items()), pattern
+        seen.append(pattern)
+    assert seen == expected
+
+
+def test_word_products_of_a_three_letter_alphabet():
+    alphabet = [(1, False), (3, True), (2, False)]
+    for pattern, folded in _word_products(3, alphabet, 3):
+        assert dict(folded.items()) == dict(letter_by_letter_product(3, pattern).items()), pattern
+
+
+def test_rewriting_termination_makes_one_product_per_word(monkeypatch):
+    calls = 0
+    product = AlgebraElement._product
+
+    def counting(self, other):
+        nonlocal calls
+        calls += 1
+        return product(self, other)
+
+    monkeypatch.setattr(AlgebraElement, "_product", counting)
+    cfg = SuiteConfig()
+    failures = []
+    checks = _suite_rewriting_termination(cfg, suites._rng(cfg, "rewriting-termination"), failures.append)
+    assert (checks, failures) == (16683, [])
+    assert calls == sum(4**length for length in range(1, 7)) == 5460
+
+
+@pytest.mark.parametrize(
+    "knob, limit",
+    [("max_component", MAX_SUITE_COMPONENT), ("max_word_len", MAX_SUITE_WORD_LEN),
+     ("sample_count", MAX_SUITE_SAMPLES), ("bound", MAX_BOUND)],
+)
+def test_suite_knob_limits(monkeypatch, knob, limit):
+    monkeypatch.setattr(suites, "_SUITES", ())  # check the config only
+    assert run_property_suite(SuiteConfig(**{knob: limit})).results == []
+    with pytest.raises(InputError, match=f"^suite {knob} must be <= {limit}, got {limit + 1}$"):
+        run_property_suite(SuiteConfig(**{knob: limit + 1}))

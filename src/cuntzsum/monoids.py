@@ -2,10 +2,12 @@
 windowed subset predicates, complement duality, and the prime-set lattice.
 
 Membership in a submonoid generated by a set of primes is decided
-globally through prime factorization.  Claims about arbitrary subsets
-are verified exhaustively inside a finite window and reported as such.
-A free-monoid backend exercises the same predicates without
-commutativity.
+globally through prime factorization; its window trace is sieved
+directly from the primes.  Claims about arbitrary subsets are verified
+exhaustively inside a finite window and reported as such.  Over (N, *)
+each window search works on whole sets, from the smaller of the subset
+and its complement; a free-monoid backend runs the same predicates as
+ordered scans, without commutativity.
 
 Up to MAX_BOUND, factorization reads a shared smallest-prime-factor
 sieve and the window searches read a shared divisor table; both are
@@ -22,6 +24,7 @@ import threading
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress, filterfalse, islice
 from math import isqrt
 from typing import Iterable, NamedTuple
 
@@ -54,12 +57,15 @@ MAX_FACTOR = 10**12
 
 
 # Largest window bound that `window_of` and `subset_window` accept.  A
-# window is scanned element by element and pair by pair, so time and
-# memory grow with the bound: at this bound `lattice` takes about 0.5 s,
-# and `classify` of a `list:` spec of 20,000 members about 0.3 s.  Of the
-# commands, only `classify` of a `list:` spec and `suite` build the
-# divisor table, about 20 MB at this bound.  The number-theory tables
-# cover 1..MAX_BOUND.
+# generated submonoid's trace is sieved, and each (N, *) window search
+# runs one set operation per element of the smaller side, so time and
+# memory grow with the bound: at this bound `lattice` takes about 0.06 s
+# in process with one finite prime set, about 0.2 s with two cofinite
+# ones and about 0.3 s with a list of every prime up to it, and
+# `classify` of a `list:` spec of 20,000 members about 0.3 s, most of it
+# building the divisor table.  Of the commands, only `classify` of a
+# `list:` spec and `suite` build that table, about 20 MB at this bound.
+# The number-theory tables cover 1..MAX_BOUND.
 MAX_BOUND = 10**5
 
 
@@ -72,9 +78,17 @@ MAX_BOUND = 10**5
 MAX_DIVISOR_TRIPLES = 20_000
 
 
-def _check_bound(bound: int) -> None:
-    if not 1 <= bound <= MAX_BOUND:
-        raise InputError(f"window bound must be in 1..{MAX_BOUND}, got {bound}")
+# Largest word length of a free-monoid window that `complement_duality_check`
+# accepts.  A window of length L holds 2^(L+1) - 1 words, and its product
+# searches visit about L * 2^(L+1) pairs: the duality report of all
+# nonempty words takes about 1 s at length 14 and 5.6 s at 16, in
+# process (2-CPU Xeon).
+MAX_WORD_LENGTH = 14
+
+
+def _check_bound(bound: int, most: int = MAX_BOUND) -> None:
+    if not 1 <= bound <= most:
+        raise InputError(f"window bound must be in 1..{most}, got {bound}")
 
 
 def _check_factorable(n: int, caller: str) -> None:
@@ -323,17 +337,50 @@ class SubsetWindow(NamedTuple):
 
 def subset_window(bound: int, members: Iterable[int]) -> SubsetWindow:
     _check_bound(bound)
-    members = frozenset(int(m) for m in members)
-    bad = [m for m in members if not 1 <= m <= bound]
-    if bad:
+    members = frozenset(map(int, members))
+    if members and not 1 <= min(members) <= max(members) <= bound:
+        bad = [m for m in members if not 1 <= m <= bound]
         raise InputError(f"members {sorted(bad)} outside window 1..{bound}")
     return SubsetWindow(bound, members)
 
 
 def window_of(view, bound: int) -> SubsetWindow:
-    """Window trace of any object with a ``contains`` method."""
+    """Window trace of any object with a ``contains`` method; a generated submonoid's is sieved."""
     _check_bound(bound)
+    if isinstance(view, SubmonoidView):
+        return SubsetWindow(bound, _generated_trace(view.generator_set, bound))
     return SubsetWindow(bound, frozenset(n for n in range(1, bound + 1) if view.contains(n)))
+
+
+def _generated_trace(generators: PrimeSet, bound: int) -> frozenset[int]:
+    """The n in 1..bound whose prime factors all lie in ``generators``.
+
+    A finite set multiplies out the powers of its primes; a cofinite one
+    keeps the window less the multiples of each excluded prime.  A listed
+    1 (a prime only under the one-is-prime mutation) is no prime factor
+    of any n, so it is skipped.
+    """
+    primes = [p for p in generators.primes if 1 < p <= bound]
+    if generators.cofinite:
+        keep = bytearray([1]) * (bound + 1)
+        keep[0] = 0
+        for q in primes:
+            keep[q::q] = bytes(len(range(q, bound + 1, q)))
+        return frozenset(compress(range(bound + 1), keep))
+    members = {1}
+    for p in primes:
+        # the members up to bound // p, read from the shorter of the set and that range,
+        # so a long prime list costs about bound * sum(1/p) lookups, not |primes| * |trace|
+        cap = bound // p
+        if len(members) <= cap:
+            layer = set(filter(cap.__ge__, members))
+        else:
+            layer = set(filter(members.__contains__, range(1, cap + 1)))
+        while layer:
+            layer = set(map(p.__mul__, layer))
+            members |= layer
+            layer = set(filter(cap.__ge__, layer))
+    return frozenset(members)
 
 
 # ---------------------------------------------------------------------------
@@ -341,12 +388,11 @@ def window_of(view, bound: int) -> SubsetWindow:
 
 
 class NaturalsMonoid:
-    """(N, *) within the window {1..bound}."""
+    """(N, *) within the window {1..bound}; its searches work on whole sets, not on ``op``."""
 
+    max_bound = MAX_BOUND
     unit = 1
     op = operator.mul
-    order_key = None  # by value, which is the size
-    commutative = True
 
     @staticmethod
     def elements(bound):
@@ -361,24 +407,15 @@ class NaturalsMonoid:
         # the cofactors of increasing divisors are the divisors decreasing
         return zip(divisors, reversed(divisors))
 
-    @staticmethod
-    def size(a):
-        return a
-
-    @staticmethod
-    def cofactor_cap(size, bound):
-        """Largest size of a factor whose product with one of ``size`` stays in the window."""
-        return bound // size
-
 
 class FreeMonoid:
     """Words over the alphabet {a, b}; the window is a length cap."""
 
+    max_bound = MAX_WORD_LENGTH
     alphabet = "ab"
     unit = ""
     op = operator.add
     size = len
-    commutative = False
 
     @staticmethod
     def order_key(a):
@@ -408,18 +445,28 @@ FREE_MONOID_AB = FreeMonoid()
 # for the duality reports and for `classify` alike.  Each reports its
 # first failure as ``(product, left, right)`` with product == op(left,
 # right), and `classify` passes that triple on unchanged.  They assume a
-# nonempty member set; `_guard` settles the empty and the improper
-# (whole-window) cases before any search runs.  A backend yields
+# nonempty member set inside the window; `_guard` settles the empty and
+# the improper (whole-window) cases before any search runs.
+#
+# Over (N, *) a search works on whole sets.  It decides from the
+# smaller of the member set S and its window complement C, with one
+# C-level set operation per element of that side, and then names the
+# witness of the ordered scan below: the first outer element that
+# fails, and its first failing partner.
+#
+# Any other backend runs that ordered scan with its ``op``.  It yields
 # ``elements(bound)`` in nondecreasing size, and its ``cofactor_cap``
 # does not grow with the size, so a search may stop at the first element
 # that has no cofactor left in the window.  The subsemigroup and ideal
-# searches share one product search, `_check_products`: members times
-# members, and window elements times members.  A ``commutative`` backend
-# has op(a, s) == op(s, a), so the ideal search looks up one side only.
+# scans share one product search, `_check_products`: members times
+# members, and window elements times members on both sides.
 
 class PredicateResult(NamedTuple):
     holds: bool
     witness: tuple | None
+
+
+_HOLDS = PredicateResult(True, None)
 
 
 def _ordered(monoid, members):
@@ -449,50 +496,151 @@ def _check_products(monoid, outer, members: set, bound: int, two_sided: bool) ->
                 prod = op(s, a)
                 if prod not in members:
                     return PredicateResult(False, (prod, s, a))
-    return PredicateResult(True, None)
+    return _HOLDS
+
+
+def _smaller_complement(members: set, bound: int):
+    """The window complement of ``members``, ascending and lazy, when it is the smaller side; else None."""
+    if 2 * len(members) <= bound:
+        return None
+    return filterfalse(members.__contains__, range(1, bound + 1))
+
+
+def _first_member(members: set, candidates) -> int:
+    """The first of ``candidates`` that lies in ``members``, or 0."""
+    return next(filter(members.__contains__, candidates), 0)
+
+
+def _member_cofactors(c: int, divisors: list, members: set):
+    """c // s for the divisors s of c in ``members``, ascending."""
+    return map(c.__floordiv__, filter(members.__contains__, reversed(divisors)))
+
+
+def _leaves(a: int, ordered: list, members: set, bound: int) -> bool:
+    """Whether a times some member up to bound // a lies outside ``members``."""
+    return not members.issuperset(map(a.__mul__, islice(ordered, bisect_right(ordered, bound // a))))
+
+
+def _product_witness(a: int, ordered: list, members: set) -> PredicateResult:
+    """``(a*s, a, s)`` for the first member s with a*s outside ``members``; holds for a == 0."""
+    if not a:
+        return _HOLDS
+    s = next(s for s in ordered if a * s not in members)
+    return PredicateResult(False, (a * s, a, s))
+
+
+def _split_witness(s: int, members: set, outside: int) -> PredicateResult:
+    """``(s, b, c)`` for the first divisor pair of s with at least ``outside`` of b, c not in ``members``; holds for s == 0."""
+    if not s:
+        return _HOLDS
+    for b, c in NaturalsMonoid.factor_pairs(s):
+        if (b not in members) + (c not in members) >= outside:
+            return PredicateResult(False, (s, b, c))
+    raise AssertionError(f"no failing divisor pair of {s}")
 
 
 def _check_subsemigroup(monoid, members: set, bound: int) -> PredicateResult:
     """First ``(ab, a, b)`` with ``ab`` in the window but not in ``members``."""
-    return _check_products(monoid, _ordered(monoid, members), members, bound, two_sided=False)
+    if not isinstance(monoid, NaturalsMonoid):
+        return _check_products(monoid, _ordered(monoid, members), members, bound, two_sided=False)
+    ordered = sorted(members)
+    complement = _smaller_complement(members, bound)
+    if complement is None:
+        outer = islice(ordered, bisect_right(ordered, bound // ordered[0]))
+        first = next((a for a in outer if _leaves(a, ordered, members, bound)), 0)
+    else:
+        # S is closed iff no c in C splits into two members; the least left factor of a split fails first
+        divisors = _DIVISORS.covering(bound)
+        first = min(filter(None, (
+            _first_member(members, _member_cofactors(c, divisors[c], members)) for c in complement
+        )), default=0)
+    return _product_witness(first, ordered, members)
 
 
 def _check_ideal(monoid, members: set, bound: int) -> PredicateResult:
     """First product leaving ``members``: cofactor ``a`` outer, member ``s`` inner."""
-    return _check_products(monoid, monoid.elements(bound), members, bound, two_sided=not monoid.commutative)
+    if not isinstance(monoid, NaturalsMonoid):
+        return _check_products(monoid, monoid.elements(bound), members, bound, two_sided=True)
+    ordered = sorted(members)
+    complement = _smaller_complement(members, bound)
+    if complement is None:
+        outer = range(1, bound // ordered[0] + 1)
+        first = next((a for a in outer if _leaves(a, ordered, members, bound)), 0)
+    else:
+        # S is an ideal iff C is divisor-closed; c = a*s has its least a at its largest member divisor s
+        divisors = _DIVISORS.covering(bound)
+        first = min(filter(None, (
+            next(_member_cofactors(c, divisors[c], members), 0) for c in complement
+        )), default=0)
+    return _product_witness(first, ordered, members)
 
 
 def _check_factorial(monoid, members: set, bound: int) -> PredicateResult:
     """First ``(s, b, c)`` with ``s = bc`` in ``members`` but ``b`` or ``c`` outside."""
-    for s in _ordered(monoid, members):
-        for b, c in monoid.factor_pairs(s):
-            if b not in members or c not in members:
-                return PredicateResult(False, (s, b, c))
-    return PredicateResult(True, None)
+    if not isinstance(monoid, NaturalsMonoid):
+        return _check_splits(monoid, members, lambda b, c: b not in members or c not in members)
+    complement = _smaller_complement(members, bound)
+    if complement is None:
+        divisors = _DIVISORS.covering(bound)
+        first = next((s for s in sorted(members) if not members.issuperset(divisors[s])), 0)
+    else:
+        # S is factorial iff it meets no multiple of C; the least member it meets fails first
+        first = min(filter(None, (
+            _first_member(members, range(c, bound + 1, c)) for c in complement
+        )), default=0)
+    return _split_witness(first, members, outside=1)
 
 
 def _check_prime(monoid, members: set, bound: int) -> PredicateResult:
     """First ``(s, b, c)`` with ``s = bc`` in ``members`` but ``b`` and ``c`` outside."""
+    if not isinstance(monoid, NaturalsMonoid):
+        return _check_splits(monoid, members, lambda b, c: b not in members and c not in members)
+    complement = _smaller_complement(members, bound)
+    if complement is None:
+        divisors = _DIVISORS.covering(bound)
+        first = next((s for s in sorted(members) if _splits_outside(s, divisors[s], members)), 0)
+    else:
+        # S is prime iff it meets no product in C*C; the least member it meets fails first
+        ordered = list(complement)
+        first = min(filter(None, (
+            _first_member(members, map(c.__mul__, islice(ordered, i, bisect_right(ordered, bound // c))))
+            for i, c in enumerate(islice(ordered, bisect_right(ordered, isqrt(bound))))
+        )), default=0)
+    return _split_witness(first, members, outside=2)
+
+
+def _splits_outside(s: int, divisors: list, members: set) -> bool:
+    """Whether some divisor pair of s has both factors outside ``members``."""
+    outside = set(divisors).difference(members)
+    return not outside.isdisjoint(map(s.__floordiv__, outside))
+
+
+def _check_splits(monoid, members: set, fails) -> PredicateResult:
+    """First ``(s, b, c)`` over members s in order and their factor pairs with ``fails(b, c)``."""
     for s in _ordered(monoid, members):
         for b, c in monoid.factor_pairs(s):
-            if b not in members and c not in members:
+            if fails(b, c):
                 return PredicateResult(False, (s, b, c))
-    return PredicateResult(True, None)
+    return _HOLDS
 
 
-def _guard(members: set, universe: set | None = None) -> PredicateResult | None:
-    """The verdict no search is needed for: empty, or (given the universe) improper."""
+def _guard(members: set, window_size: int | None = None) -> PredicateResult | None:
+    """The verdict no search is needed for: empty, or (given the window's size) improper.
+
+    ``members`` lie in the window, so they fill it when they are as many.
+    """
     if not members:
         return PredicateResult(False, ("empty",))
-    if members == universe:
+    if len(members) == window_size:
         return PredicateResult(False, ("improper",))
     return None
 
 
 def _window_verdict(check, window: SubsetWindow, proper: bool) -> PredicateResult:
-    members, bound = set(window.members), window.bound
-    universe = set(NATURALS_MONOID.elements(bound)) if proper else None
-    return _guard(members, universe) or check(NATURALS_MONOID, members, bound)
+    # a SubsetWindow built directly is checked as `subset_window` checks its input
+    bound, members = subset_window(*window)
+    members = set(members)
+    return _guard(members, bound if proper else None) or check(NATURALS_MONOID, members, bound)
 
 
 def is_subsemigroup(window: SubsetWindow) -> PredicateResult:
@@ -551,11 +699,11 @@ def _and_results(*results: PredicateResult) -> PredicateResult:
     for res in results:
         if not res.holds:
             return res
-    return PredicateResult(True, None)
+    return _HOLDS
 
 
-def _side_verdicts(monoid, members: set, bound: int, universe: set) -> SideVerdicts:
-    guard = _guard(members, universe)
+def _side_verdicts(monoid, members: set, bound: int, window_size: int) -> SideVerdicts:
+    guard = _guard(members, window_size)
     if guard is not None:
         # each of the six properties needs a nonempty proper subset
         return SideVerdicts(*[guard] * len(SideVerdicts._fields))
@@ -582,15 +730,15 @@ def complement_duality_check(window: SubsetWindow, monoid=NATURALS_MONOID) -> Du
     ``SubsetWindow(bound, frozenset(words))`` and ``FREE_MONOID_AB``.
     """
     bound = window.bound
-    _check_bound(bound)
+    _check_bound(bound, monoid.max_bound)
     universe = set(monoid.elements(bound))
     members = set(window.members)
     if not universe.issuperset(members):
         raise InputError(f"members outside the window of bound {bound}")
     comp = universe - members
 
-    side = _side_verdicts(monoid, members, bound, universe)
-    dual = _side_verdicts(monoid, comp, bound, universe)
+    side = _side_verdicts(monoid, members, bound, len(universe))
+    dual = _side_verdicts(monoid, comp, bound, len(universe))
 
     equivalences = (
         ("S proper subsemigroup <=> S^c prime", side.proper_subsemigroup.holds == dual.prime.holds),

@@ -767,9 +767,10 @@ SUITE_NAMES = tuple(name for name, _ in _SUITES)
 # elements, and the dense oracle of `oracle-agreement` costs up to
 # 6^(max_word_len / 2) points per term (at 100 one run exhausted memory).
 # `cuntzsum suite --samples 1000 --max-component 1000 --max-word-len 10`
-# takes about 5 s in a fresh process (2-CPU Xeon); with `--bound 100000`
-# as well, every knob at its limit, about 94 s and 240 MB, nearly all of
-# it in `complement-duality` and `generated-submonoids-factorial`.
+# takes about 4-5 s in a fresh process (2-CPU Xeon); with `--bound 100000`
+# as well, every knob at its limit, about 17 s and 240 MB, most of it in
+# `complement-duality`, whose 100 stored windows of up to 10^5 members
+# hold most of that memory.
 MAX_SUITE_SAMPLES = 1000
 MAX_SUITE_COMPONENT = 1000
 MAX_SUITE_WORD_LEN = 10

@@ -200,6 +200,18 @@ class TestChecks:
         assert code == 0
         assert "lattice checks consistent: yes" in out
 
+    def test_lattice_of_every_prime_up_to_the_limit_is_fast(self, capsys):
+        # a finite spec of all 9,592 primes up to MAX_BOUND, whose trace is the whole window
+        primes = monoids.primes_up_to(MAX_BOUND)
+        start = time.perf_counter()
+        code, out, _ = run(
+            capsys, "lattice", "--f", "primes:" + ",".join(map(str, primes)), "--g", "primes:2", "--bound", str(MAX_BOUND)
+        )
+        assert time.perf_counter() - start < 3.0
+        assert code == 0
+        assert "lattice checks consistent: yes" in out
+        assert len(window_of(SubmonoidView(PrimeSet.finite(primes)), MAX_BOUND).members) == MAX_BOUND
+
 
 class TestErrors:
     def test_parse_error_exit_2(self, capsys):

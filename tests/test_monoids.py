@@ -21,7 +21,7 @@ from cuntzsum import (
     subset_window,
     window_of,
 )
-from cuntzsum.monoids import MAX_BOUND, NATURALS_MONOID, PredicateResult, _check_ideal, next_prime_after
+from cuntzsum.monoids import MAX_BOUND, MAX_WORD_LENGTH, NATURALS_MONOID, PredicateResult, _check_ideal, next_prime_after
 
 
 class TestFactorization:
@@ -188,11 +188,15 @@ class TestWindowPredicates:
         with pytest.raises(InputError):
             subset_window(10, [11])
 
-    @pytest.mark.parametrize("members", [{2, 4, 6, 8, 9, 10, 12}, {3, 6, 9, 12}, {5, 7, 10}, {4, 8, 12}])
-    def test_one_sided_lookups_suffice_in_the_naturals(self, monkeypatch, members):
-        one_sided = _check_ideal(NATURALS_MONOID, members, 12)
-        monkeypatch.setattr(type(NATURALS_MONOID), "commutative", False)
-        assert _check_ideal(NATURALS_MONOID, members, 12) == one_sided
+    @pytest.mark.parametrize("predicate", [is_subsemigroup, is_ideal, is_factorial, is_prime_subset])
+    @pytest.mark.parametrize(
+        "bound, members, message",
+        [(3, {1, 2, 5}, "outside window"), (10, {1, 1000}, "outside window"),
+         (10, {0, 2}, "outside window"), (MAX_BOUND + 1, {2}, "window bound"), (0, {1}, "window bound")],
+    )
+    def test_directly_built_window_outside_its_bound_rejected(self, predicate, bound, members, message):
+        with pytest.raises(InputError, match=message):
+            predicate(SubsetWindow(bound, frozenset(members)))
 
 
 class TestComplementDuality:
@@ -202,6 +206,14 @@ class TestComplementDuality:
                 complement_duality_check(SubsetWindow(bound, frozenset(members)), monoid)
         with pytest.raises(InputError, match="window bound"):
             complement_duality_check(SubsetWindow(MAX_BOUND + 1, frozenset({2})))
+
+    def test_free_monoid_word_length_limit(self):
+        # 2^41 words would be listed at length 40; the limit rejects it before any listing
+        with pytest.raises(InputError, match=f"^window bound must be in 1..{MAX_WORD_LENGTH}, got 40$"):
+            complement_duality_check(SubsetWindow(40, frozenset()), FREE_MONOID_AB)
+        report = complement_duality_check(SubsetWindow(MAX_WORD_LENGTH, frozenset()), FREE_MONOID_AB)
+        assert report.subset.prime == PredicateResult(False, ("empty",))
+        assert report.complement.prime == PredicateResult(False, ("improper",))
 
     def test_generated_submonoid(self):
         view = SubmonoidView(PrimeSet.finite([2]))

@@ -1,8 +1,9 @@
-"""Differential tests of the shared window predicates and the set-based
-lattice check against the per-n reference loops in `window_reference`,
-and a check of every search's ``(product, left, right)`` witness in both
-monoid backends."""
+"""Differential tests of the shared window predicates, the sieved
+submonoid traces and the set-based lattice check against the per-n
+reference loops in `window_reference`, and a check of every search's
+``(product, left, right)`` witness in both monoid backends."""
 
+import operator
 from random import Random
 
 import hypothesis.strategies as st
@@ -12,19 +13,28 @@ from hypothesis import assume, given, settings
 import window_reference as ref
 from cuntzsum import (
     FREE_MONOID_AB,
+    NaturalsMonoid,
     PrimeSet,
     SubmonoidView,
     SubsetWindow,
     classify_component_set,
+    complement_duality_check,
     is_factorial,
     is_ideal,
     is_prime_subset,
     is_subsemigroup,
     lattice_iso_check,
+    mutations,
     subset_window,
     window_of,
 )
-from cuntzsum.monoids import NATURALS_MONOID, _check_factorial, _check_ideal, _check_prime, _check_subsemigroup
+from cuntzsum.monoids import (
+    NATURALS_MONOID,
+    _check_factorial,
+    _check_ideal,
+    _check_prime,
+    _check_subsemigroup,
+)
 
 PRIMES = (2, 3, 5, 7, 11, 13, 37)
 
@@ -53,6 +63,19 @@ def windows(draw, max_bound=80):
         if shape == "with-unit":
             members = members | {1}
     return subset_window(bound, members)
+
+
+@st.composite
+def near_traces(draw):
+    """A window at bound 200-600 a few members away from a trace or from its
+    complement, so that S is the small side in some and C in others."""
+    bound = draw(st.integers(200, 600))
+    members = window_of(SubmonoidView(draw(prime_sets())), bound).members
+    if draw(st.booleans()):
+        members = frozenset(range(1, bound + 1)) - members
+    less = draw(st.sets(st.sampled_from(sorted(members)), max_size=3)) if members else set()
+    more = draw(st.sets(st.integers(1, bound), max_size=3))
+    return subset_window(bound, (members - less) | more)
 
 
 @st.composite
@@ -89,7 +112,7 @@ def test_every_search_witness_is_product_left_right(case):
             continue
         p, l, r = result.witness
         assert p == monoid.op(l, r), search.__name__
-        assert monoid.size(p) <= window.bound, search.__name__
+        assert p in monoid.elements(window.bound), search.__name__
         assert condition(members, p, l, r), search.__name__
 
 
@@ -102,6 +125,17 @@ def test_classify_matches_reference(window):
 @settings(max_examples=300, deadline=None)
 @given(windows())
 def test_predicates_match_reference(window):
+    _assert_predicates_match_reference(window)
+
+
+@settings(max_examples=100, deadline=None)
+@given(near_traces())
+def test_small_side_searches_match_reference(window):
+    assert classify_component_set(window) == ref.classify_component_set(window)
+    _assert_predicates_match_reference(window)
+
+
+def _assert_predicates_match_reference(window):
     members, bound = set(window.members), window.bound
     verdicts = {
         is_factorial: ref.divisor_closure_witness(members, bound),
@@ -173,3 +207,71 @@ def test_lattice_check_traces_each_submonoid_once(monkeypatch):
         calls[0] = 0
         lattice_iso_check(f, g, bound)
         assert calls[0] <= 4 * bound, (f, g, bound, calls[0])
+
+
+@st.composite
+def trace_cases(draw):
+    """A prime set (finite, cofinite, empty or all primes) and a bound up to 2,000."""
+    kind = draw(st.sampled_from(("finite", "cofinite", "empty", "all")))
+    if kind == "empty":
+        prime_set = PrimeSet.finite([])
+    elif kind == "all":
+        prime_set = PrimeSet.all_primes()
+    else:
+        prime_set = PrimeSet(draw(st.sets(st.sampled_from(PRIMES + (997, 1999)), max_size=4)), kind == "cofinite")
+    return prime_set, draw(st.integers(1, 2000))
+
+
+def _reference_trace(prime_set, bound):
+    view = ref.SubmonoidView(prime_set)
+    return frozenset(n for n in range(1, bound + 1) if view.contains(n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(trace_cases())
+def test_sieved_trace_matches_reference(case):
+    prime_set, bound = case
+    assert window_of(SubmonoidView(prime_set), bound).members == _reference_trace(prime_set, bound)
+
+
+@pytest.mark.parametrize("primes", [[1], [1, 2], [1, 3, 7]])
+@pytest.mark.parametrize("cofinite", [False, True])
+def test_sieved_trace_skips_a_listed_unit(primes, cofinite):
+    # only the one-is-prime mutation lets 1 into a prime set; 1 is no prime factor of any n
+    with mutations.enabled(mutations.ONE_IS_PRIME):
+        prime_set = PrimeSet(primes, cofinite)
+        trace = window_of(SubmonoidView(prime_set), 300).members
+    assert trace == _reference_trace(prime_set, 300)
+
+
+def test_naturals_searches_and_traces_call_no_op_or_contains(monkeypatch):
+    calls = []
+
+    def counting(name, original):
+        def counted(*args):
+            calls.append(name)
+            return original(*args)
+        return counted
+
+    monkeypatch.setattr(NaturalsMonoid, "op", staticmethod(counting("op", operator.mul)))
+    monkeypatch.setattr(SubmonoidView, "contains", counting("contains", SubmonoidView.contains))
+    # the counters see direct calls
+    NATURALS_MONOID.op(2, 3)
+    SubmonoidView(PrimeSet.finite([2])).contains(4)
+    assert calls == ["op", "contains"]
+
+    calls.clear()
+    rng = Random(9)
+    for prime_set in (PrimeSet.finite([]), PrimeSet.finite([2, 3]), PrimeSet.excluding([3]), PrimeSet.all_primes()):
+        for bound in (1, 60, 400):
+            universe = frozenset(range(1, bound + 1))
+            trace = window_of(SubmonoidView(prime_set), bound).members
+            nudged = trace ^ frozenset(rng.sample(sorted(universe), min(3, bound)))
+            for members in (trace, universe - trace, nudged, universe - nudged):
+                window = subset_window(bound, members)
+                complement_duality_check(window)
+                classify_component_set(window)
+                if members:
+                    for search in _WITNESS_CONDITIONS:
+                        search(NATURALS_MONOID, set(members), bound)
+    assert calls == []

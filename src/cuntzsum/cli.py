@@ -200,11 +200,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, default=100)
 
     p = add("suite", "run every property suite")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bound", type=int, default=1000)
-    p.add_argument("--max-component", type=int, default=24)
-    p.add_argument("--max-word-len", type=int, default=3)
-    p.add_argument("--samples", type=int, default=200)
+    defaults = SuiteConfig()
+    p.add_argument("--seed", type=int, default=defaults.seed)
+    p.add_argument("--bound", type=int, default=defaults.bound)
+    p.add_argument("--max-component", type=int, default=defaults.max_component)
+    p.add_argument("--max-word-len", type=int, default=defaults.max_word_len)
+    p.add_argument("--samples", type=int, default=defaults.sample_count)
     p.add_argument("--mutate", choices=mutations.ALL_MUTATIONS)
 
     return parser

@@ -9,10 +9,10 @@ each window search works on whole sets, from the smaller of the subset
 and its complement; a free-monoid backend runs the same predicates as
 ordered scans, without commutativity.
 
-Up to MAX_BOUND, factorization reads a shared smallest-prime-factor
-sieve and the window searches read a shared divisor table; both are
-built on first use and grown by doubling.  Above MAX_BOUND, and for the
-divisor pairs at every n, one trial-division loop factors up to MAX_FACTOR.
+One trial-division loop factors every n up to MAX_FACTOR, for primality,
+membership and the divisor pairs alike.  The (N, *) window searches
+read one shared divisor table, built on first use and grown by doubling
+up to MAX_BOUND.
 """
 
 from __future__ import annotations
@@ -64,8 +64,8 @@ MAX_FACTOR = 10**12
 # ones and about 0.3 s with a list of every prime up to it, and
 # `classify` of a `list:` spec of 20,000 members about 0.3 s, most of it
 # building the divisor table.  Of the commands, only `classify` of a
-# `list:` spec and `suite` build that table, about 20 MB at this bound.
-# The number-theory tables cover 1..MAX_BOUND.
+# `list:` spec and `suite` build that table, about 20 MB at this bound;
+# it covers 1..MAX_BOUND, and no other number table is kept.
 MAX_BOUND = 10**5
 
 
@@ -130,16 +130,6 @@ class _GrowingTable:
         return table
 
 
-def _smallest_prime_factors(size: int) -> list[int]:
-    """spf[n] is the smallest prime factor of n for 2 <= n < size."""
-    spf = list(range(size))
-    # Descending, so the smallest factor of each multiple is written last;
-    # a composite p writes nothing that a prime factor of p does not overwrite.
-    for p in range(isqrt(size - 1), 1, -1):
-        spf[p * p::p] = [p] * len(range(p * p, size, p))
-    return spf
-
-
 def _divisor_lists(size: int) -> list[list[int]]:
     """divisors[n] lists the divisors of n in increasing order for 1 <= n < size."""
     divisors = [[] for _ in range(size)]
@@ -149,7 +139,6 @@ def _divisor_lists(size: int) -> list[list[int]]:
     return divisors
 
 
-_SMALLEST_PRIME_FACTOR = _GrowingTable(_smallest_prime_factors)
 _DIVISORS = _GrowingTable(_divisor_lists)
 
 
@@ -171,15 +160,7 @@ def _trial_factors(n: int) -> tuple[int, ...]:
 def prime_factorize(n: int) -> list[int]:
     """Prime factors with multiplicity, ascending; empty for n = 1."""
     _check_factorable(n, "prime_factorize")
-    if n > MAX_BOUND:
-        return list(_trial_factors(n))
-    factors = []
-    spf = _SMALLEST_PRIME_FACTOR.covering(n)
-    while n > 1:
-        p = spf[n]
-        factors.append(p)
-        n //= p
-    return factors
+    return list(_trial_factors(n))
 
 
 def divisor_pairs(n: int) -> list[tuple[int, int]]:
@@ -192,10 +173,7 @@ def divisor_pairs(n: int) -> list[tuple[int, int]]:
 
 
 def divisor_triple_count(n: int) -> int:
-    """Number of ordered triples (a, b, c) with abc == n: the product of C(e+2, 2) over n's prime exponents e.
-
-    Read from trial division, not the sieve, so `coassoc` builds no number table.
-    """
+    """Number of ordered triples (a, b, c) with abc == n: the product of C(e+2, 2) over n's prime exponents e."""
     _check_factorable(n, "prime_factorize")
     count = 1
     for e in Counter(_trial_factors(n)).values():
@@ -281,18 +259,7 @@ class SubmonoidView:
     generator_set: PrimeSet
 
     def contains(self, n: int) -> bool:
-        if n < 1:
-            return False
-        is_generator = self.generator_set.contains
-        if n > MAX_BOUND:
-            return all(is_generator(p) for p in prime_factorize(n))
-        spf = _SMALLEST_PRIME_FACTOR.covering(n)
-        while n > 1:
-            p = spf[n]
-            if not is_generator(p):
-                return False
-            n //= p
-        return True
+        return n >= 1 and all(map(self.generator_set.contains, prime_factorize(n)))
 
     def __repr__(self):
         return f"SubmonoidView({self.generator_set.describe()})"
@@ -415,11 +382,6 @@ class FreeMonoid:
     alphabet = "ab"
     unit = ""
     op = operator.add
-    size = len
-
-    @staticmethod
-    def order_key(a):
-        return (len(a), a)
 
     def elements(self, bound):
         """Words by length, then in alphabet order."""
@@ -428,10 +390,6 @@ class FreeMonoid:
     @staticmethod
     def factor_pairs(a):
         return [(a[:i], a[i:]) for i in range(len(a) + 1)]
-
-    @staticmethod
-    def cofactor_cap(size, bound):
-        return bound - size
 
 
 NATURALS_MONOID = NaturalsMonoid()
@@ -454,12 +412,12 @@ FREE_MONOID_AB = FreeMonoid()
 # witness of the ordered scan below: the first outer element that
 # fails, and its first failing partner.
 #
-# Any other backend runs that ordered scan with its ``op``.  It yields
-# ``elements(bound)`` in nondecreasing size, and its ``cofactor_cap``
-# does not grow with the size, so a search may stop at the first element
-# that has no cofactor left in the window.  The subsemigroup and ideal
-# scans share one product search, `_check_products`: members times
-# members, and window elements times members on both sides.
+# The free monoid runs that ordered scan with its ``op``, over words in
+# shortlex order (by length, then alphabetically), so each inner loop
+# over the members stops at the first one too long for its product to
+# stay in the window.  The subsemigroup and ideal scans share one
+# product search, `_check_products`: members times members, and window
+# elements times members on both sides.
 
 class PredicateResult(NamedTuple):
     holds: bool
@@ -469,26 +427,24 @@ class PredicateResult(NamedTuple):
 _HOLDS = PredicateResult(True, None)
 
 
-def _ordered(monoid, members):
-    # deterministic iteration: by size, then by value
-    return sorted(members, key=monoid.order_key)
+def _shortlex(word: str):
+    return (len(word), word)
 
 
 def _check_products(monoid, outer, members: set, bound: int, two_sided: bool) -> PredicateResult:
     """First product of an ``outer`` element ``a`` and a member ``s`` that leaves ``members``.
 
-    ``outer`` runs in nondecreasing size and ``s`` in member order.  The
-    witness is ``(op(a, s), a, s)``, or, when ``two_sided``,
-    ``(op(s, a), s, a)`` when only the right product leaves.
+    ``outer`` and ``s`` run in shortlex order.  The witness is
+    ``(op(a, s), a, s)``, or, when ``two_sided``, ``(op(s, a), s, a)``
+    when only the right product leaves.
     """
-    ordered = _ordered(monoid, members)
-    sizes = [monoid.size(s) for s in ordered]
+    ordered = sorted(members, key=_shortlex)
     op = monoid.op
     for a in outer:
-        inner = ordered[:bisect_right(sizes, monoid.cofactor_cap(monoid.size(a), bound))]
-        if not inner:
-            break
-        for s in inner:
+        cap = bound - len(a)
+        for s in ordered:
+            if len(s) > cap:
+                break
             prod = op(a, s)
             if prod not in members:
                 return PredicateResult(False, (prod, a, s))
@@ -542,7 +498,7 @@ def _split_witness(s: int, members: set, outside: int) -> PredicateResult:
 def _check_subsemigroup(monoid, members: set, bound: int) -> PredicateResult:
     """First ``(ab, a, b)`` with ``ab`` in the window but not in ``members``."""
     if not isinstance(monoid, NaturalsMonoid):
-        return _check_products(monoid, _ordered(monoid, members), members, bound, two_sided=False)
+        return _check_products(monoid, sorted(members, key=_shortlex), members, bound, two_sided=False)
     ordered = sorted(members)
     complement = _smaller_complement(members, bound)
     if complement is None:
@@ -617,7 +573,7 @@ def _splits_outside(s: int, divisors: list, members: set) -> bool:
 
 def _check_splits(monoid, members: set, fails) -> PredicateResult:
     """First ``(s, b, c)`` over members s in order and their factor pairs with ``fails(b, c)``."""
-    for s in _ordered(monoid, members):
+    for s in sorted(members, key=_shortlex):
         for b, c in monoid.factor_pairs(s):
             if fails(b, c):
                 return PredicateResult(False, (s, b, c))

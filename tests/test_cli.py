@@ -113,16 +113,20 @@ class TestQueries:
 
     def test_large_components_build_no_number_table(self, capsys, monkeypatch):
         def refuse(*args):
-            raise AssertionError("a number table was built")
+            raise AssertionError("a number table was read")
 
-        # the tables bind their builders when made, so swap in empty ones on the refusing builders
-        for builder, table in (("_smallest_prime_factors", "_SMALLEST_PRIME_FACTOR"), ("_divisor_lists", "_DIVISORS")):
-            monkeypatch.setattr(monoids, builder, refuse)
-            monkeypatch.setattr(monoids, table, monoids._GrowingTable(refuse))
+        monkeypatch.setattr(monoids._GrowingTable, "covering", refuse)
         code, out, err = run(capsys, "delta", "I(99991)")
         assert (code, out, err) == (0, "(I(1)) ⊗ (I(99991)) + (I(99991)) ⊗ (I(1))\n", "")
         assert run(capsys, "coassoc", "I(99991)") == (0, "true\n", "")
         assert run(capsys, "coassoc", "I(999999999989)") == (0, "true\n", "")
+        # membership, restriction and prime-set questions factor each n by trial division
+        assert run(capsys, "member", "--primes", "2,99991", "--n", "99991") == (0, "true\n", "")
+        assert run(capsys, "decompose", "--primes", "2", "I(99991)") == (
+            0, "subbialgebra part: 0\nbiideal part: I(99991)\n", "")
+        halves = " + ".join(f"(I({2**k})) ⊗ (I({2**(16 - k)}))" for k in range(17))
+        assert run(capsys, "deltaH", "--primes", "2", "I(65536)") == (0, halves + "\n", "")
+        assert run(capsys, "classify", "--set", "primes:99991") == (0, "subbialgebra\nscope: global\n", "")
 
     def test_decompose(self, capsys):
         code, out, _ = run(capsys, "decompose", "--primes", "2", "s(2,1) + s(3,1)")

@@ -1,6 +1,7 @@
-"""The smallest-prime-factor sieve and the divisor table behind the window
-predicates, against plain trial division, at every growth boundary, at the
-switch to trial division above MAX_BOUND, and under concurrent growth."""
+"""Factorization and the divisor table behind the window predicates,
+against plain trial division: for every small n and a sample up to
+MAX_BOUND, at every growth boundary of the table and past MAX_BOUND, and
+under concurrent growth."""
 
 import sys
 import threading
@@ -8,6 +9,8 @@ from collections import Counter
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuntzsum import monoids
 from cuntzsum.cli import main
@@ -60,25 +63,30 @@ def assert_matches_trial_division(n):
 
 
 @pytest.fixture
-def empty_tables(monkeypatch):
-    """Both tables as a fresh process has them: not yet built."""
+def empty_divisor_table(monkeypatch):
+    """The divisor table as a fresh process has it: not yet built."""
 
     def reset():
-        monkeypatch.setattr(monoids, "_SMALLEST_PRIME_FACTOR", monoids._GrowingTable(monoids._smallest_prime_factors))
         monkeypatch.setattr(monoids, "_DIVISORS", monoids._GrowingTable(monoids._divisor_lists))
 
     reset()
     return reset
 
 
-def test_every_small_n_matches_trial_division(empty_tables):
+def test_every_small_n_matches_trial_division(empty_divisor_table):
     for n in range(1, 5001):
         assert_matches_trial_division(n)
     for n in range(1, 5001):
         assert list(NATURALS_MONOID.factor_pairs(n)) == trial_pairs(n) == divisor_pairs(n), n
 
 
-def test_growth_boundaries_and_the_switch_to_trial_division(empty_tables):
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, MAX_BOUND))
+def test_factorization_up_to_max_bound_matches_trial_division(n):
+    assert_matches_trial_division(n)
+
+
+def test_growth_boundaries_and_past_max_bound(empty_divisor_table):
     sizes, size = [], 64
     while size <= MAX_BOUND:
         sizes.append(size)
@@ -86,23 +94,22 @@ def test_growth_boundaries_and_the_switch_to_trial_division(empty_tables):
     probes = sorted({n for s in sizes for n in (s - 1, s, s + 1)} | {MAX_BOUND - 1, MAX_BOUND, MAX_BOUND + 1})
     for n in probes:
         assert_matches_trial_division(n)
+        assert list(NATURALS_MONOID.factor_pairs(n)) == trial_pairs(n), n
         if n <= MAX_BOUND:
-            table = monoids._SMALLEST_PRIME_FACTOR.covering(n)
+            table = monoids._DIVISORS.covering(n)
             expected_len = min(next(s for s in sizes + [2 * sizes[-1]] if s > n), MAX_BOUND + 1)
             assert len(table) == expected_len, n
-    # MAX_BOUND + 1 = 11 * 9091 is factored by trial division, past the table
+    # MAX_BOUND + 1 = 11 * 9091 lies past the table; its divisor pairs come from its factors
     assert prime_factorize(MAX_BOUND + 1) == [11, 9091]
-    assert len(monoids._SMALLEST_PRIME_FACTOR.covering(MAX_BOUND)) == MAX_BOUND + 1
-    for n in probes + [98280]:
-        assert list(NATURALS_MONOID.factor_pairs(n)) == trial_pairs(n), n
+    assert list(NATURALS_MONOID.factor_pairs(98280)) == trial_pairs(98280)
     assert len(monoids._DIVISORS.covering(MAX_BOUND)) == MAX_BOUND + 1
 
 
-def test_a_covering_table_is_not_rebuilt(empty_tables):
-    table = monoids._SMALLEST_PRIME_FACTOR.covering(100)
+def test_a_covering_table_is_not_rebuilt(empty_divisor_table):
+    table = monoids._DIVISORS.covering(100)
     assert len(table) == 128
-    assert monoids._SMALLEST_PRIME_FACTOR.covering(127) is table
-    assert monoids._SMALLEST_PRIME_FACTOR.covering(5) is table
+    assert monoids._DIVISORS.covering(127) is table
+    assert monoids._DIVISORS.covering(5) is table
 
 
 @pytest.mark.parametrize("n", [1, 2, 12, 720720, 963761198400, 999999999989])
@@ -138,17 +145,18 @@ def test_coassoc_trial_divides_each_large_component_once(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("round_", range(4))
-def test_threads_growing_empty_tables_agree_with_one_thread(empty_tables, round_):
+def test_threads_growing_empty_tables_agree_with_one_thread(empty_divisor_table, round_):
     bounds = [5000, 37, 1500, 64, 65, 3000, 129, 700]
     jobs = [(prime_set, bound) for prime_set in PRIME_SETS for bound in bounds]
 
     def result(job):
         prime_set, bound = job
         window = window_of(SubmonoidView(prime_set), bound)
-        return window, is_factorial(window)
+        # the divisors of the bound are read from the table, grown to cover it
+        return window, is_factorial(window), list(NATURALS_MONOID.factor_pairs(bound))
 
     expected = [result(job) for job in jobs]
-    empty_tables()
+    empty_divisor_table()
     found = [None] * 8
     errors = []
 

@@ -1,3 +1,4 @@
+import re
 import threading
 from itertools import product as iproduct
 
@@ -13,6 +14,7 @@ from cuntzsum.suites import (
     MAX_SUITE_SAMPLES,
     MAX_SUITE_WORD_LEN,
     SUITE_NAMES,
+    _suite_complement_duality,
     _suite_rewriting_termination,
     _word_products,
 )
@@ -204,6 +206,29 @@ def test_rewriting_termination_makes_one_product_per_word(monkeypatch):
     checks = _suite_rewriting_termination(cfg, suites._rng(cfg, "rewriting-termination"), failures.append)
     assert (checks, failures) == (16683, [])
     assert calls == sum(4**length for length in range(1, 7)) == 5460
+
+
+def test_complement_duality_checks_each_window_before_building_the_next(monkeypatch):
+    log = []
+
+    def logged(kind, func):
+        def call(*args, **kwargs):
+            result = func(*args, **kwargs)
+            log.append((kind, args[0] if kind == "check" else result))
+            return result
+        return call
+
+    for name in ("window_of", "subset_window"):
+        monkeypatch.setattr(suites, name, logged("build", getattr(suites, name)))
+    monkeypatch.setattr(suites, "complement_duality_check", logged("check", suites.complement_duality_check))
+    cfg = SuiteConfig(bound=300)
+    failures = []
+    checks = _suite_complement_duality(cfg, suites._rng(cfg, "complement-duality"), failures.append)
+    assert (checks, failures) == (100, [])
+    kinds = "".join("B" if kind == "build" else "C" for kind, _ in log)
+    # one or two builds (a trace, then its complement) before each check, and none held back
+    assert re.fullmatch(r"(BB?C){100}", kinds), kinds
+    assert all(log[i][1] is log[i - 1][1] for i, (kind, _) in enumerate(log) if kind == "check")
 
 
 @pytest.mark.parametrize(

@@ -12,8 +12,10 @@ component-1 part.  The submonoid-restricted comultiplication takes
 elements supported in the submonoid and keeps only the divisor pairs
 with both factors in it; one loop over the divisor pairs, `_coproduct`,
 serves both comultiplications.  Coassociativity is the splitting axiom
-(`wcs`) at each ordered divisor triple of each component in turn;
-`lift_left` and `lift_right` build the whole triple tensors, as a
+(`wcs`) at each ordered divisor triple of each component in turn; the
+first split of either side depends on one divisor pair only, so it is
+made once per pair (`_first_splits`) and shared by every triple through
+it.  `lift_left` and `lift_right` build the whole triple tensors, as a
 reference.
 """
 
@@ -152,15 +154,21 @@ def counit_contract_right(u: TensorElement) -> AlgebraElement:
     return _contract(u, 1)
 
 
-def _splittings_agree(items, a: int, b: int, c: int, left=True, right=True) -> bool:
-    """``(phi(a,b) (x) id) phi(ab,c)`` equals ``(id (x) phi(b,c)) phi(a,bc)`` on ``items``.
+def _first_splits(items):
+    """``(p, q) -> phi(p,q)`` on ``items`` as a key map, each pair split once and kept as long as the lookup."""
+    return functools.cache(functools.partial(_split_leg, items, 0))
+
+
+def _splittings_agree(first, a: int, b: int, c: int, left=True, right=True) -> bool:
+    """``(phi(a,b) (x) id) phi(ab,c)`` equals ``(id (x) phi(b,c)) phi(a,bc)`` on the
+    items whose first splits ``first(p, q)`` returns (see `_first_splits`).
 
     A side that is off counts as zero.  Two sides that are on agree key
     for key, since the mixed-radix letter split is associative, so only
     a side against zero is pushed down.
     """
-    lhs = _split_leg(_split_leg(items, 0, a * b, c).items(), 0, a, b) if left else {}
-    rhs = _split_leg(_split_leg(items, 0, a, b * c).items(), 1, b, c) if right else {}
+    lhs = _split_leg(first(a * b, c).items(), 0, a, b) if left else {}
+    rhs = _split_leg(first(a, b * c).items(), 1, b, c) if right else {}
     return lhs == rhs or TripleTensorElement._raw(lhs).equals(TripleTensorElement._raw(rhs))
 
 
@@ -170,7 +178,11 @@ def check_coassociativity(x: AlgebraElement) -> bool:
     Each side is a sum over the ordered divisor triples (a, b, c) of each
     component that it reaches through `_component_pairs`, and terms of
     different triples never cancel, so the check is the splitting axiom
-    at each triple in turn, against zero where one side misses it.  An
+    at each triple in turn, against zero where one side misses it.  The
+    left side's first split, phi(ab,c), and the right side's, phi(a,bc),
+    are read from one memo per component, so a component's terms are
+    split once per divisor pair and then once per triple on each side;
+    the memo holds at most d(n) splits and is dropped on return.  An
     element whose terms have more than `MAX_DIVISOR_TRIPLES` triples in
     all is an InputError, raised before any triple is split.
     """
@@ -185,8 +197,9 @@ def check_coassociativity(x: AlgebraElement) -> bool:
     for n in sorted(parts):
         left = {(a, b, c) for ab, c in pairs(n) for a, b in pairs(ab)}
         right = {(a, b, c) for a, bc in pairs(n) for b, c in pairs(bc)}
+        first = _first_splits(parts[n])
         for t in sorted(left | right):
-            if not _splittings_agree(parts[n], *t, t in left, t in right):
+            if not _splittings_agree(first, *t, t in left, t in right):
                 return False
     return True
 
@@ -208,12 +221,12 @@ def check_hom_property(x: AlgebraElement, y: AlgebraElement, submonoid=None) -> 
 
 def check_wcs_axiom(a: int, b: int, c: int, x: AlgebraElement) -> bool:
     """The two ways of splitting component a*b*c into three legs agree."""
+    if min(a, b, c) < 1:
+        raise InputError("phi requires positive component indices")
     target = a * b * c
     for mono, _ in x.items():
         if mono.n != target:
             raise InputError(
                 f"wcs check for ({a},{b},{c}) expects support on component {_int_text(target, 'component')}"
             )
-    if min(a, b, c) < 1:
-        raise InputError("phi requires positive component indices")
-    return _splittings_agree(list(x._leg_items()), a, b, c)
+    return _splittings_agree(_first_splits(list(x._leg_items())), a, b, c)

@@ -71,10 +71,12 @@ MAX_BOUND = 10**5
 
 # Largest number of ordered divisor triples (a, b, c), abc = n, summed
 # over the terms of an element (n the term's component), that the
-# coassociativity check accepts.  It splits each term once per triple:
-# as a `coassoc` command in a fresh process, with the same start-up,
-# I(720720), with 7,290, takes about 0.35 s and I(12612600), with 19,440,
-# about 0.65 s; I(963761198400), with 1,837,080, would take about 45 s.
+# coassociativity check accepts.  It splits each term once per divisor
+# pair and then once per triple on each side: as a `coassoc` command in
+# a fresh process, with the same start-up (about 0.17 s), I(720720), with
+# 7,290, takes about 0.23 s and I(12612600), with 19,440, about 0.39 s
+# (2-CPU Xeon); I(963761198400), with 1,837,080, would take about 35 s
+# at the same rate per triple.
 MAX_DIVISOR_TRIPLES = 20_000
 
 
@@ -200,6 +202,14 @@ class PrimeSet:
         object.__setattr__(self, "cofinite", bool(self.cofinite))
 
     @classmethod
+    def _unchecked(cls, primes: frozenset[int], cofinite: bool) -> "PrimeSet":
+        """The prime set of ``primes``, already known to be prime, without `__post_init__`'s checks."""
+        result = object.__new__(cls)
+        object.__setattr__(result, "primes", primes)
+        object.__setattr__(result, "cofinite", cofinite)
+        return result
+
+    @classmethod
     def finite(cls, primes: Iterable[int]) -> "PrimeSet":
         return cls(primes)
 
@@ -218,11 +228,11 @@ class PrimeSet:
         """The prime set containing p exactly when ``op(self.contains(p), other.contains(p))``."""
         cofinite = op(self.cofinite, other.cofinite)
         # Beyond every listed prime both sides are in their own mode.
-        listed = [
+        listed = frozenset(
             p for p in self.primes | other.primes
             if op(self.contains(p), other.contains(p)) != cofinite
-        ]
-        return PrimeSet(listed, cofinite)
+        )
+        return PrimeSet._unchecked(listed, cofinite)
 
     def union(self, other: "PrimeSet") -> "PrimeSet":
         return self._combine(other, operator.or_)

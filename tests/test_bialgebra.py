@@ -320,6 +320,30 @@ class TestCoassociativity:
         divisors = {d for n in (12, 24, 36) for d in range(1, n + 1) if n % d == 0}
         assert set(calls["divisor_pairs"]) == divisors
 
+    @pytest.mark.parametrize(
+        "expr, splits",
+        [
+            ("I(12612600)", 39312),  # 19,440 triples, just under the cap
+            ("I(1000000000000)", 16731),
+            ("s(2520,3) * s(2520,7)^* + [1/2] s(2520,11)", 2256),
+        ],
+    )
+    def test_each_first_split_is_made_once_per_divisor_pair(self, monkeypatch, expr, splits):
+        """Per term, every triple makes one second split on each side and
+        every divisor pair one first split, shared by both sides."""
+        calls = []
+
+        def counting(mono, n, m, original=bialgebra._split_monomial):
+            calls.append(mono)
+            return original(mono, n, m)
+
+        monkeypatch.setattr(bialgebra, "_split_monomial", counting)
+        x = parse_element(expr)
+        (n,) = x.support_components()
+        assert check_coassociativity(x)
+        triples, pairs = bialgebra.divisor_triple_count(n), len(bialgebra.divisor_pairs(n))
+        assert len(calls) == splits == len(x.items()) * (2 * triples + pairs)
+
 
 class TestCounitLaws:
     def test_examples(self):

@@ -245,6 +245,13 @@ class TestErrors:
         code, out, err = run(capsys, "classify", "--set", "primes:2,4", "--bound", "0")
         assert (code, out, err) == (2, "", "error: 4 is not prime\n")
 
+    @pytest.mark.parametrize("a", ["0", "-1"])
+    def test_wcs_index_checked_before_support(self, capsys, a):
+        # a non-positive index is named before any talk of a target component
+        for x in ("s(6,1)", "0"):
+            code, out, err = run(capsys, "wcs", a, "2", "3", x)
+            assert (code, out, err) == (2, "", "error: phi requires positive component indices\n")
+
     def test_unknown_command_exit_2(self, capsys):
         # argparse raises SystemExit on unknown subcommands; main converts
         # that into exit code 2 and argparse prints the usage text

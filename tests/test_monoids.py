@@ -21,6 +21,7 @@ from cuntzsum import (
     subset_window,
     window_of,
 )
+from cuntzsum import monoids
 from cuntzsum.monoids import MAX_BOUND, MAX_WORD_LENGTH, NATURALS_MONOID, PredicateResult, _check_ideal, next_prime_after
 
 
@@ -108,6 +109,23 @@ class TestPrimeSet:
         assert PrimeSet.finite([2, 3]).intersection(PrimeSet.finite([3, 5])) == PrimeSet.finite([3])
         assert PrimeSet.excluding([2]).intersection(PrimeSet.excluding([3])) == PrimeSet.excluding([2, 3])
         assert PrimeSet.excluding([2, 3]).union(PrimeSet.excluding([3, 5])) == PrimeSet.excluding([3])
+
+    def test_union_and_intersection_recheck_no_prime(self, monkeypatch):
+        f, g = PrimeSet.finite([2, 3, 7, 97]), PrimeSet.excluding([3, 5])
+        calls = []
+
+        def counting(n, original=monoids.is_prime):
+            calls.append(n)
+            return original(n)
+
+        monkeypatch.setattr(monoids, "is_prime", counting)
+        results = [op(x, y) for x in (f, g) for y in (f, g) for op in (PrimeSet.union, PrimeSet.intersection)]
+        assert calls == []
+        # the unchecked results equal the validated sets of the same primes
+        rebuilt = [PrimeSet(r.primes, r.cofinite) for r in results]
+        assert results == rebuilt and list(map(hash, results)) == list(map(hash, rebuilt))
+        assert calls
+        assert f.union(g) == PrimeSet.excluding([5]) and f.intersection(g) == PrimeSet.finite([2, 7, 97])
 
     def test_meet_verified_by_membership(self):
         g = PrimeSet.excluding([2])

@@ -212,11 +212,12 @@ def check_counit_laws(x: AlgebraElement) -> bool:
 def check_hom_property(x: AlgebraElement, y: AlgebraElement, submonoid=None) -> bool:
     """Comultiplication is a *-homomorphism and the counit is multiplicative."""
     f = delta if submonoid is None else (lambda z: delta_restricted(submonoid, z))
-    if not f(x * y).equals(f(x) * f(y)):
+    xy, fx = x * y, f(x)
+    if not f(xy).equals(fx * f(y)):
         return False
-    if not f(x.adjoint()).equals(f(x).adjoint()):
+    if not f(x.adjoint()).equals(fx.adjoint()):
         return False
-    return counit(x * y) == counit(x) * counit(y)
+    return counit(xy) == counit(x) * counit(y)
 
 
 def check_wcs_axiom(a: int, b: int, c: int, x: AlgebraElement) -> bool:

@@ -4,7 +4,9 @@ Production code paths consult these flags at exactly three points.  All
 flags are off by default; the suite runner enables one at a time to prove
 the suites detect the corresponding defect.  The active set lives in a
 context variable, so a switch enabled in one thread (or context) is not
-seen by another.
+seen by another.  A spawned process starts with none: the suite runner
+passes `active()` to each of its worker processes, which enable the same
+switches before their first suite.
 """
 
 from contextlib import contextmanager
@@ -31,6 +33,11 @@ def disable_all() -> None:
 
 def is_active(name: str) -> bool:
     return name in _active.get()
+
+
+def active() -> frozenset:
+    """The switches enabled in this thread (or context)."""
+    return _active.get()
 
 
 @contextmanager

@@ -9,8 +9,9 @@ suite.
 
 from __future__ import annotations
 
+import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
 from random import Random
@@ -70,6 +71,7 @@ from .monoids import (
     subset_window,
     window_of,
 )
+from . import mutations
 from .scalars import ONE, Scalar
 from .tensors import TensorElement, simple_tensor, tensor_unit
 
@@ -769,10 +771,11 @@ SUITE_NAMES = tuple(name for name, _ in _SUITES)
 # elements, and the dense oracle of `oracle-agreement` costs up to
 # 6^(max_word_len / 2) points per term (at 100 one run exhausted memory).
 # `cuntzsum suite --samples 1000 --max-component 1000 --max-word-len 10`
-# takes about 4-5 s in a fresh process (2-CPU Xeon); with `--bound 100000`
-# as well, every knob at its limit, about 11 s and 63 MB, most of it in
-# `complement-duality`, which holds one window of up to 10^5 members at
-# a time.
+# takes about 2.5 s in a fresh process on two processes (2-CPU Xeon; 4.7 s
+# on one); with `--bound 100000` as well, every knob at its limit, about
+# 14.5 s (20 s on one), 13 s of it in `complement-duality`, which holds one
+# window of up to 10^5 members at a time: the process that runs it peaks
+# at about 66 MB, the other at 55 MB.
 MAX_SUITE_SAMPLES = 1000
 MAX_SUITE_COMPONENT = 1000
 MAX_SUITE_WORD_LEN = 10
@@ -785,7 +788,158 @@ _KNOB_RANGES = (
 )
 
 
+# The suites that take the most time at the default config, heaviest
+# first, with their share of a one-process run (median of seeds 0-5); each
+# of the others takes under 3 %.  The runner hands these out first, so
+# that the last suite any process takes is a short one.
+_HEAVIEST_SUITES = (
+    "parser-roundtrip",       # 31 %
+    "rewriting-termination",  # 14 %
+    "hom-property",           # 9 %
+    "coassociativity",        # 8 %
+    "complement-duality",     # 7 %
+    "factorization",          # 6 %
+    "classifier-soundness",   # 6 %
+    "counit-laws",            # 4 %
+)
+
+# Most processes `run_property_suite` splits the suites across, the caller
+# included.  `parser-roundtrip` alone is 31 % of a default run, so no split
+# ends before it does, and three processes already share the other 69 %
+# in about that time: a fourth cannot help.  Two processes took the
+# bench's `suite-default` batch from 0.79 to 0.45 s (2-CPU Xeon).
+MAX_SUITE_PROCESSES = 3
+
+# Seconds a stopped worker gets to exit before it is killed.
+_WORKER_STOP_S = 5.0
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _run_suite(cfg, name, func):
+    failures: list[str] = []
+    start = time.perf_counter()
+    checks = func(cfg, _rng(cfg, name), failures.append)
+    return name, checks, failures, time.perf_counter() - start
+
+
+def _outcome(cfg, funcs, name):
+    """`_run_suite`'s result tuple for suite ``name``, or the exception raised."""
+    try:
+        return _run_suite(cfg, name, funcs[name])
+    except Exception as exc:
+        return exc
+
+
+def _claims(tasks):
+    """Declared suite indexes read from the shared task pipe, one byte each.
+
+    A one-byte read from a pipe is atomic, so every process reading the
+    same pipe gets each index at most once, and no lock is held that a
+    killed process could leave taken.  The pipe is filled and its write
+    end closed before any process reads, so an empty read means every
+    suite has been handed out.
+    """
+    while byte := os.read(tasks.fileno(), 1):
+        yield byte[0]
+
+
+def _suite_worker(fields, names, switches, tasks, results):
+    """A spawned worker: run the suites it claims and send back each outcome.
+
+    It gets plain data only (the `SuiteConfig` fields, the suite names, the
+    caller's mutation switches and two pipe ends) and sends back plain
+    ``(index, (name, checks, failures, seconds))`` tuples, or the exception
+    in place of the result tuple.
+    """
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller takes an interrupt and stops its workers
+    cfg = SuiteConfig(*fields)
+    for switch in switches:
+        mutations.enable(switch)
+    funcs = dict(_SUITES)
+    with tasks, results:
+        for index in _claims(tasks):
+            results.send((index, _outcome(cfg, funcs, names[index])))
+
+
+def _run_split(cfg: SuiteConfig, processes: int) -> list:
+    """The result tuple of every suite in declared order, run by this
+    process and ``processes - 1`` spawned workers, heaviest suites first.
+
+    An exception raised by a suite in any process is re-raised here once
+    every suite is done, the earliest-declared first; a suite that a dead
+    worker never reported raises `RuntimeError`.  No worker outlives the
+    call, whether it returns or raises.
+    """
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    ctx = multiprocessing.get_context("spawn")
+    names = tuple(name for name, _ in _SUITES)
+    heavy = [names.index(name) for name in _HEAVIEST_SUITES if name in names]
+    order = heavy + [index for index in range(len(names)) if index not in heavy]
+    funcs = dict(_SUITES)
+    outcomes: dict = {}
+    workers, readers = [], []
+    tasks, feed = ctx.Pipe(duplex=False)
+    try:
+        with feed:
+            os.write(feed.fileno(), bytes(order))
+        args = (astuple(cfg), names, sorted(mutations.active()), tasks)
+        for _ in range(processes - 1):
+            reader, writer = ctx.Pipe(duplex=False)
+            readers.append(reader)
+            with writer:  # once started, the worker holds the only write end
+                worker = ctx.Process(target=_suite_worker, args=(*args, writer))
+                worker.start()
+            workers.append(worker)
+        for index in _claims(tasks):
+            outcomes[index] = _outcome(cfg, funcs, names[index])
+        # a worker's pipe reads end-of-file once the worker has exited
+        pending = list(readers)
+        while pending and len(outcomes) < len(names):
+            for reader in wait(pending):
+                try:
+                    index, outcome = reader.recv()
+                except (EOFError, OSError):
+                    pending.remove(reader)
+                else:
+                    outcomes[index] = outcome
+    finally:
+        for worker in workers:
+            worker.terminate()
+        for worker in workers:
+            worker.join(_WORKER_STOP_S)
+            if worker.exitcode is None:
+                worker.kill()
+                worker.join()
+        for conn in (tasks, *readers):
+            conn.close()
+    for index, name in enumerate(names):
+        outcome = outcomes.get(index)
+        if outcome is None:
+            codes = ", ".join(str(worker.exitcode) for worker in workers)
+            raise RuntimeError(f"suite {name} was never reported: a worker exited early (exit codes {codes})")
+        if isinstance(outcome, BaseException):
+            raise outcome
+    return [outcomes[index] for index in range(len(names))]
+
+
 def run_property_suite(cfg: SuiteConfig = SuiteConfig()) -> SuiteReport:
+    """Run every suite, in this process and up to `MAX_SUITE_PROCESSES` - 1
+    spawned workers, one per further CPU this process may use.
+
+    The report lists the suites in declared order, whichever process ran
+    them.  With one CPU, or one suite, no process is started.
+    """
     # every lower limit is checked before any upper one, all before the first suite runs
     for name, least, _ in _KNOB_RANGES:
         value = getattr(cfg, name)
@@ -796,10 +950,10 @@ def run_property_suite(cfg: SuiteConfig = SuiteConfig()) -> SuiteReport:
         if value > most:
             raise InputError(f"suite {name} must be <= {most}, got {value}")
     report = SuiteReport(cfg)
+    processes = min(MAX_SUITE_PROCESSES, _usable_cpus(), len(_SUITES))
+    if processes > 1:
+        report.results = [SuiteResult(*outcome) for outcome in _run_split(cfg, processes)]
+        return report
     for name, func in _SUITES:
-        failures: list[str] = []
-        start = time.perf_counter()
-        checks = func(cfg, _rng(cfg, name), failures.append)
-        seconds = time.perf_counter() - start
-        report.results.append(SuiteResult(name, checks, failures, seconds))
+        report.results.append(SuiteResult(*_run_suite(cfg, name, func)))
     return report

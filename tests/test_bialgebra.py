@@ -365,6 +365,22 @@ class TestHomProperty:
         assert check_hom_property(s, generator(2, 2).adjoint())
         assert check_hom_property(ZERO_ELEMENT, s)
 
+    @pytest.mark.parametrize("submonoid", [None, PowerSubmonoid(2)])
+    def test_a_passing_check_takes_four_coproducts(self, monkeypatch, submonoid):
+        # delta of x*y, x, y and x^*: delta(x) is shared by both laws
+        calls = []
+        coproduct = bialgebra._coproduct
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return coproduct(*args, **kwargs)
+
+        monkeypatch.setattr(bialgebra, "_coproduct", counted)
+        x = generator(4, 1) + generator(4, 3).adjoint()
+        y = generator(4, 2)
+        assert check_hom_property(x, y, submonoid)
+        assert len(calls) == 4
+
     def test_unit_identity_all_components(self):
         from cuntzsum import divisor_pairs
 

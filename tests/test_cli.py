@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import os
 import re
 import subprocess
@@ -599,6 +600,25 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "I(2)\n"
+
+
+def test_suite_report_does_not_depend_on_the_hash_seed():
+    # every worker process draws its own hash seed unless one is set
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    reports = []
+    for hash_seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cuntzsum", "suite", "--samples", "30", "--format", "machine"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed},
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = [json.loads(line) for line in proc.stdout.splitlines()]
+        for line in lines:
+            line.pop("seconds", None)
+        reports.append(lines)
+    assert reports[0] == reports[1]
+    assert len(reports[0]) == 24
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])

@@ -1,6 +1,14 @@
+import array
+import multiprocessing
+import os
 import re
+import subprocess
+import sys
 import threading
+import time
+from dataclasses import replace
 from itertools import product as iproduct
+from pathlib import Path
 
 import pytest
 
@@ -241,3 +249,183 @@ def test_suite_knob_limits(monkeypatch, knob, limit):
     assert run_property_suite(SuiteConfig(**{knob: limit})).results == []
     with pytest.raises(InputError, match=f"^suite {knob} must be <= {limit}, got {limit + 1}$"):
         run_property_suite(SuiteConfig(**{knob: limit + 1}))
+
+
+# ---------------------------------------------------------------------------
+# The runner across processes.  `_usable_cpus` is the one seam that sets how
+# many processes run the suites; a spawned worker runs the package's own
+# `_SUITES`, looked up by the names the caller sends, while a patched
+# `_SUITES`, `_HEAVIEST_SUITES` or `_claims` acts in the calling process only.
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _force_processes(monkeypatch, count):
+    monkeypatch.setattr(suites, "_usable_cpus", lambda: count)
+
+
+def _unclaimed(tasks):
+    """Suite indexes still waiting in the task pipe."""
+    import fcntl
+    import termios
+
+    count = array.array("i", [0])
+    fcntl.ioctl(tasks.fileno(), termios.FIONREAD, count)
+    return count[0]
+
+
+def _hold_first_claim(monkeypatch):
+    """After the caller claims its first suite, it waits until a worker has
+    claimed the next one; so the worker surely runs the second suite handed out."""
+    claims = suites._claims
+
+    def held(tasks):
+        indexes = claims(tasks)
+        first = next(indexes, None)
+        if first is None:
+            return
+        left = _unclaimed(tasks)
+        deadline = time.monotonic() + 60
+        while left and _unclaimed(tasks) == left:
+            assert time.monotonic() < deadline, "no worker claimed a suite"
+            time.sleep(0.005)
+        yield first
+        yield from indexes
+
+    monkeypatch.setattr(suites, "_claims", held)
+
+
+def _outcomes(report):
+    return [(r.name, r.checks, r.failures) for r in report.results]
+
+
+@pytest.mark.parametrize("mutation, worker_first", [
+    (None, "rewriting-termination"),
+    (mutations.DROP_DIVISOR_PAIR, "hom-property"),
+    (mutations.SKIP_DELTA_CHECK, "rewriting-termination"),
+    (mutations.ONE_IS_PRIME, "factorization"),
+])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_two_processes_report_what_one_does(monkeypatch, seed, mutation, worker_first):
+    # the worker takes a suite that the switch breaks, so the switch must reach it
+    cfg = replace(SMALL, seed=seed)
+    if mutation:
+        mutations.enable(mutation)
+    _force_processes(monkeypatch, 1)
+    alone = _outcomes(run_property_suite(cfg))
+    _force_processes(monkeypatch, 2)
+    monkeypatch.setattr(suites, "_HEAVIEST_SUITES", ("parser-roundtrip", worker_first))
+    _hold_first_claim(monkeypatch)
+    split = _outcomes(run_property_suite(cfg))
+    assert split == alone
+    assert multiprocessing.active_children() == []
+    if mutation:
+        assert dict((name, failures) for name, _, failures in split)[worker_first]
+
+
+def test_more_processes_than_cpus_share_the_task_pipe(monkeypatch):
+    # four processes, more than a 2-CPU host has, read one pipe: a suite handed
+    # out twice or lost would change the report or raise
+    _force_processes(monkeypatch, 1)
+    alone = _outcomes(run_property_suite(SMALL))
+    monkeypatch.setattr(suites, "MAX_SUITE_PROCESSES", 4)
+    _force_processes(monkeypatch, 4)
+    start = time.monotonic()
+    for _ in range(3):
+        assert _outcomes(run_property_suite(SMALL)) == alone
+        assert multiprocessing.active_children() == []
+    assert time.monotonic() - start < 120
+
+
+def test_a_worker_exception_comes_back_and_the_earliest_declared_wins(monkeypatch):
+    # the worker knows no suite "ghost", so its lookup raises KeyError('ghost');
+    # the caller's later-declared suite raises too, and loses
+    def caller_suite(cfg, rng, fail):
+        raise ValueError("raised in the caller")
+
+    def ghost(cfg, rng, fail):
+        raise AssertionError("ghost ran in the caller")
+
+    _force_processes(monkeypatch, 2)
+    monkeypatch.setattr(suites, "_SUITES", (("ghost", ghost), ("caller", caller_suite)))
+    monkeypatch.setattr(suites, "_HEAVIEST_SUITES", ("caller", "ghost"))
+    _hold_first_claim(monkeypatch)
+    with pytest.raises(KeyError) as raised:
+        run_property_suite(SMALL)
+    assert str(raised.value) == "'ghost'"
+    assert multiprocessing.active_children() == []
+
+
+def test_an_interrupt_in_the_callers_share_stops_the_workers(monkeypatch):
+    def interrupt(cfg, rng, fail):
+        raise KeyboardInterrupt
+
+    _force_processes(monkeypatch, 2)
+    monkeypatch.setattr(suites, "_SUITES", (("interrupt", interrupt), ("parser-roundtrip", None)))
+    monkeypatch.setattr(suites, "_HEAVIEST_SUITES", ())
+    _hold_first_claim(monkeypatch)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_property_suite(SuiteConfig(sample_count=MAX_SUITE_SAMPLES))
+    assert multiprocessing.active_children() == []
+    assert time.monotonic() - start < 30
+
+
+def test_a_worker_killed_mid_run_is_reported_and_reaped(monkeypatch):
+    def kill_the_worker(cfg, rng, fail):
+        for worker in multiprocessing.active_children():
+            worker.kill()
+            worker.join(timeout=30)
+            assert worker.exitcode is not None
+        return 0
+
+    _force_processes(monkeypatch, 2)
+    monkeypatch.setattr(suites, "_SUITES", (("kill", kill_the_worker), ("parser-roundtrip", None)))
+    monkeypatch.setattr(suites, "_HEAVIEST_SUITES", ())
+    _hold_first_claim(monkeypatch)
+    with pytest.raises(RuntimeError, match="^suite parser-roundtrip was never reported"):
+        run_property_suite(SuiteConfig(sample_count=MAX_SUITE_SAMPLES))
+    assert multiprocessing.active_children() == []
+
+
+def test_the_heaviest_suites_are_declared_suites():
+    assert set(suites._HEAVIEST_SUITES) <= set(SUITE_NAMES)
+    assert len(set(suites._HEAVIEST_SUITES)) == len(suites._HEAVIEST_SUITES)
+
+
+def test_no_process_starts_without_suites_or_with_a_bad_config(monkeypatch):
+    def refuse(cfg, processes):
+        raise AssertionError("a process was started")
+
+    _force_processes(monkeypatch, 2)
+    monkeypatch.setattr(suites, "_run_split", refuse)
+    with pytest.raises(InputError):
+        run_property_suite(SuiteConfig(sample_count=MAX_SUITE_SAMPLES + 1))
+    monkeypatch.setattr(suites, "_SUITES", ())
+    assert run_property_suite(SMALL).results == []
+
+
+def _python(script, **env):
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": SRC, **env},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_importing_the_cli_does_not_import_multiprocessing():
+    script = "import sys, cuntzsum.cli; print('multiprocessing' in sys.modules)"
+    assert _python(script) == "False\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
+def test_a_process_pinned_to_one_cpu_starts_no_worker():
+    script = (
+        "import os, sys\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "from cuntzsum.suites import SuiteConfig, run_property_suite\n"
+        "report = run_property_suite(SuiteConfig(bound=60, max_component=4, max_word_len=2, sample_count=4))\n"
+        "print(len(report.results), report.all_passed, 'multiprocessing' in sys.modules)\n"
+    )
+    assert _python(script) == f"{len(SUITE_NAMES)} True False\n"

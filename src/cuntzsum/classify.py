@@ -26,6 +26,7 @@ from .monoids import (
     _check_ideal,
     _check_prime,
     _check_subsemigroup,
+    subset_window,
     window_of,
 )
 
@@ -46,8 +47,9 @@ def classify_component_set(window: SubsetWindow) -> Classification:
     Decided by the shared window predicates of `monoids`, whose
     ``(product, left factor, right factor)`` witnesses pass unchanged.
     """
-    members = set(window.members)
-    bound = window.bound
+    # a SubsetWindow built directly is checked as `subset_window` checks its input
+    bound, members = subset_window(*window)
+    members = set(members)
     if not members:
         return Classification("zero", None)
     if 1 in members:

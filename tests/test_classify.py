@@ -11,6 +11,7 @@ from cuntzsum import (
     PrimeSet,
     Scalar,
     SubmonoidView,
+    SubsetWindow,
     ZERO_ELEMENT,
     check_biideal_on_generators,
     classify_component_set,
@@ -19,6 +20,7 @@ from cuntzsum import (
     delta_restricted,
     equals,
     generator,
+    is_factorial,
     lattice_iso_check,
     quotient_morphism_check,
     subset_window,
@@ -95,6 +97,23 @@ class TestClassify:
             assert result.witness is not None
             n, m, l = result.witness
             assert m * l == n
+
+    @pytest.mark.parametrize(
+        "window, message",
+        [
+            # the predicates refuse this window; the classifier used to call it a biideal
+            (SubsetWindow(10, frozenset({11})), r"members \[11\] outside window 1\.\.10"),
+            # a bound past MAX_BOUND used to end in an IndexError from the divisor table
+            (SubsetWindow(200_000, frozenset({150_000})), "window bound must be in 1..100000"),
+            # a member 0 used to end in a ZeroDivisionError
+            (SubsetWindow(10, frozenset({0})), r"members \[0\] outside window 1\.\.10"),
+        ],
+    )
+    def test_a_hand_built_window_is_checked_like_the_predicates_check_it(self, window, message):
+        with pytest.raises(InputError, match=message):
+            classify_component_set(window)
+        with pytest.raises(InputError, match=message):
+            is_factorial(window)
 
 
 class TestBiidealGenerators:

@@ -16,6 +16,7 @@ from cuntzsum import cli, monoids
 from cuntzsum.algebra import MAX_PUSHED_KEYS
 from cuntzsum.classify import classify_component_set
 from cuntzsum.cli import build_parser, main
+from cuntzsum.exprs import MAX_PRODUCT_TERMS
 from cuntzsum.monoids import MAX_BOUND, MAX_DIVISOR_TRIPLES, MAX_FACTOR, PrimeSet, SubmonoidView, window_of
 
 # Python 3.10.7 and later refuse to convert ints of more than 4,300
@@ -360,6 +361,15 @@ class TestErrors:
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (2, "")
         assert err == f"error: pushing terms down would make more than {MAX_PUSHED_KEYS} keys\n"
+
+    @pytest.mark.parametrize("command", [("norm",), ("delta",), ("phi", "2", "1")])
+    def test_product_beyond_term_cap_exit_2(self, capsys, command):
+        # 20 two-term factors would pair 2^20 terms; the 14th is past the cap
+        start = time.perf_counter()
+        code, out, err = run(capsys, *command, "*".join(["(s(2,1)+s(2,2))"] * 20))
+        assert time.perf_counter() - start < 5.0
+        assert (code, out) == (2, "")
+        assert err == f"error: product of 8192 by 2 terms would pair more than {MAX_PRODUCT_TERMS}\n"
 
     def test_deep_nesting_exit_2(self, capsys):
         code, out, err = run(capsys, "norm", "(" * 5000 + "s(2,1)" + ")" * 5000)

@@ -1,11 +1,14 @@
+import sys
 import time
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from conftest import elements
 from cuntzsum import (
+    AlgebraElement,
     InputError,
     ParseError,
     Scalar,
@@ -108,6 +111,180 @@ class TestParser:
         assert len(x) == 40_000
         assert x.coefficient(monomial(40_001, (1,))) == Scalar(1)
         assert elapsed < 5.0
+
+
+# Each case: the input, then the exception type, message and position it
+# raises.  One case per symbol token, then the lexical, length, nesting,
+# denominator, imaginary-unit and index errors, in reading order.
+MALFORMED = [
+    ("s(2,1) + + s(2,2)", ParseError, "expected a factor, found '+' (at position 9)", 9),
+    ("s(2,1) - s(2,2)", ParseError, "unexpected trailing input '-' (at position 7)", 7),
+    ("* s(2,1)", ParseError, "expected a factor, found '*' (at position 0)", 0),
+    ("s((2,1)", ParseError, "expected component index, found '(' (at position 2)", 2),
+    ("s(2,1))", ParseError, "unexpected trailing input ')' (at position 6)", 6),
+    ("s(2,1) [2]", ParseError, "unexpected trailing input '[' (at position 7)", 7),
+    ("]", ParseError, "expected a factor, found ']' (at position 0)", 0),
+    ("s(2,,1)", ParseError, "expected generator index, found ',' (at position 4)", 4),
+    ("s(2/1)", ParseError, "expected ',', found '/' (at position 3)", 3),
+    ("^* s(2,1)", ParseError, "expected a factor, found '^*' (at position 0)", 0),
+    ("I(2)^*", ParseError, "unexpected trailing input '^*' (at position 4)", 4),
+    ("s(2,1) @", ParseError, "unexpected character '@' (at position 7)", 7),
+    ("s(2,1)^ ", ParseError, "expected '^*' (at position 6)", 6),
+    pytest.param(
+        "s(2," + "9" * 5000 + ")", ParseError,
+        "generator index has too many digits (5000) (at position 4)", 4,
+        marks=pytest.mark.skipif(
+            not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 4900,
+            reason="needs the default limit on int/str conversion digits",
+        ),
+        id="over-long-integer",
+    ),
+    ("(" * 201 + "s(2,1)" + ")" * 201, ParseError,
+     "parentheses nested deeper than 200 (at position 200)", 200),
+    ("[1/0] * I(2)", ParseError, "zero denominator (at position 3)", 3),
+    ("[1+2s] * I(2)", ParseError, "expected 'i' after imaginary part (at position 4)", 4),
+    ("[1+2] * I(2)", ParseError, "expected 'i', found ']' (at position 4)", 4),
+    ("", ParseError, "expected a factor, found '' (at position 0)", 0),
+    ("0 0", ParseError, "expected a factor, found '0' (at position 0)", 0),
+    ("s(0,1)", InputError, "generator s(0,1): component must be >= 1", None),
+    ("s(2,3)", InputError, "generator s(2,3): index 3 out of range 1..2", None),
+    ("s(2,0)", InputError, "generator s(2,0): index 0 out of range 1..2", None),
+    ("I(0)", InputError, "unit I(0): component must be >= 1", None),
+    ("s(2,5) + + s(2,1)", InputError, "generator s(2,5): index 5 out of range 1..2", None),
+    ("s(2,5) + @", ParseError, "unexpected character '@' (at position 9)", 9),
+]
+
+
+@pytest.mark.parametrize("text, kind, message, position", MALFORMED)
+def test_malformed_input_raises_the_first_error_in_reading_order(text, kind, message, position):
+    with pytest.raises(ValueError) as info:
+        parse_element(text)
+    assert type(info.value) is kind
+    assert str(info.value) == message
+    assert getattr(info.value, "position", None) == position
+
+
+def _sum_text(n, indexes):
+    return "(" + " + ".join(f"s({n},{i})" for i in indexes) + ")"
+
+
+class TestProductCap:
+    def test_a_product_at_the_cap_is_read(self):
+        assert exprs.MAX_PRODUCT_TERMS == 10_000
+        x = parse_element(f"{_sum_text(100, range(1, 101))} * {_sum_text(100, range(1, 101))}")
+        assert len(x) == 10_000
+
+    def test_a_product_past_the_cap_is_refused_before_it_is_made(self, monkeypatch):
+        monkeypatch.setattr(AlgebraElement, "__mul__", None)  # any product would raise TypeError
+        text = f"{_sum_text(101, range(1, 102))} * {_sum_text(100, range(1, 101))}"
+        with pytest.raises(InputError) as info:
+            parse_element(text)
+        assert str(info.value) == "product of 101 by 100 terms would pair more than 10000"
+
+    def test_two_term_sums(self):
+        factor = "(s(2,1)+s(2,2))"
+        assert len(parse_element("*".join([factor] * 13))) == 8192
+        start = time.perf_counter()
+        with pytest.raises(InputError, match="^product of 8192 by 2 terms would pair more than 10000$"):
+            parse_element("*".join([factor] * 20))
+        # the uncapped product took about 70 s
+        assert time.perf_counter() - start < 5.0
+
+    def test_errors_keep_reading_order(self):
+        big = "*".join(["(s(2,1)+s(2,2))"] * 13)
+        # a factor's own error comes before the check on its product
+        with pytest.raises(InputError, match=r"s\(3,4\)"):
+            parse_element(f"{big} * (s(3,1) + s(3,4))")
+        # the product's error comes before any error after it
+        with pytest.raises(InputError, match="^product of 8192 by 2 terms"):
+            parse_element(f"{big} * (s(2,1) + s(2,2)) * s(3,4) + s(2,")
+        # lexical errors still come first
+        with pytest.raises(ParseError, match="'@'"):
+            parse_element(f"{big} * (s(2,1) + s(2,2)) @")
+
+    def test_products_through_the_api_are_not_capped(self):
+        x = parse_element(_sum_text(101, range(1, 102)))
+        y = parse_element(_sum_text(101, range(1, 101)))
+        assert len(x * y) == 10_100
+
+
+# The grammar, each rule drawn with the value it denotes: the value is
+# built from `generator`, `adjoint`, `unit`, `Scalar`, `+`, `*` and `scale`
+# alone, never by the parser.
+_COMPONENTS = st.sampled_from([1, 2, 3, 4, 6])
+_SEP = st.sampled_from(["", " "])
+
+
+@st.composite
+def _rational_texts(draw):
+    num = draw(st.integers(-5, 5))
+    if draw(st.booleans()):
+        return str(num), Fraction(num)
+    den = draw(st.integers(1, 4))
+    return f"{num}/{den}", Fraction(num, den)
+
+
+@st.composite
+def _scalar_texts(draw):
+    re_text, re = draw(_rational_texts())
+    if draw(st.booleans()):
+        return f"[{re_text}]", Scalar(re)
+    sign = draw(st.sampled_from(["+", "-"]))
+    im_text, im = draw(_rational_texts())
+    return f"[{re_text}{sign}{im_text}i]", Scalar(re, im if sign == "+" else -im)
+
+
+@st.composite
+def _factor_texts(draw, depth):
+    kind = draw(st.sampled_from(["s", "s^*", "I", "()"] if depth else ["s", "s^*", "I"]))
+    if kind == "()":
+        text, value = draw(_element_texts(depth - 1))
+        if draw(st.booleans()):
+            return f"({text})^*", value.adjoint()
+        return f"({text})", value
+    n = draw(_COMPONENTS)
+    if kind == "I":
+        return f"I({n})", unit(n)
+    i = draw(st.integers(1, n))
+    if kind == "s^*":
+        return f"s({n},{i})^*", generator(n, i).adjoint()
+    return f"s({n},{i})", generator(n, i)
+
+
+@st.composite
+def _term_texts(draw, depth):
+    factors = draw(st.lists(_factor_texts(depth), min_size=1, max_size=3))
+    sep = draw(_SEP)
+    text = f"{sep}*{sep}".join(t for t, _ in factors)
+    value = factors[0][1]
+    for _, v in factors[1:]:
+        value = value * v
+    if draw(st.booleans()):
+        scalar_text, c = draw(_scalar_texts())
+        star = draw(st.sampled_from([" * ", "*", " ", ""]))
+        return f"{scalar_text}{star}{text}", value.scale(c)
+    return text, value
+
+
+@st.composite
+def _element_texts(draw, depth=2):
+    if draw(st.integers(0, 7)) == 0:
+        return "0", ZERO_ELEMENT
+    terms = draw(st.lists(_term_texts(depth), min_size=1, max_size=3))
+    sep = draw(_SEP)
+    value = ZERO_ELEMENT
+    for _, v in terms:
+        value = value + v
+    return f"{sep}+{sep}".join(t for t, _ in terms), value
+
+
+@given(_element_texts())
+@settings(max_examples=150, deadline=None)
+def test_parsing_matches_the_grammar_evaluated_by_hand(case):
+    text, value = case
+    got = parse_element(text)
+    assert equals(got, value)
+    assert render_element(got) == render_element(value)
 
 
 class TestRenderer:

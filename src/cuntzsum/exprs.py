@@ -49,6 +49,13 @@ MAX_NESTING = 200
 # and 68 MB uncapped, and each further factor doubles that.
 MAX_PRODUCT_TERMS = 10_000
 
+# Most term pairs all the products in one parsed input may make together.
+# The product cap alone bounds each product, not their number: a product
+# that reached 8,192 terms and went on multiplying by single generators
+# paired all of them once per factor, and 100 such factors (907
+# characters) took 13.6 s as an `eq` command.
+MAX_PARSE_PAIRS = 40_000
+
 
 def _tokenize(text: str):
     """``(kind, text, position)`` triples; a symbol's kind is the symbol itself."""
@@ -89,6 +96,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
+        self.pairs = 0  # term pairs made by every product read so far
 
     def peek(self):
         return self.tokens[self.pos]
@@ -142,10 +150,14 @@ class _Parser:
         while self.peek()[0] == "*":
             self.advance()
             right = self.factor()
-            if len(value) * len(right) > MAX_PRODUCT_TERMS:
+            pairs = len(value) * len(right)
+            if pairs > MAX_PRODUCT_TERMS:
                 raise InputError(
                     f"product of {len(value)} by {len(right)} terms would pair more than {MAX_PRODUCT_TERMS}"
                 )
+            self.pairs += pairs
+            if self.pairs > MAX_PARSE_PAIRS:
+                raise InputError(f"the products of this input would pair more than {MAX_PARSE_PAIRS} terms in all")
             value = value * right
         return value if coeff is None else value.scale(coeff)
 

@@ -4,9 +4,9 @@ Production code paths consult these flags at exactly three points.  All
 flags are off by default; the suite runner enables one at a time to prove
 the suites detect the corresponding defect.  The active set lives in a
 context variable, so a switch enabled in one thread (or context) is not
-seen by another.  A spawned process starts with none: the suite runner
-passes `active()` to each of its worker processes, which enable the same
-switches before their first suite.
+seen by another.  A forked process starts with the switches of the
+thread that forked it, so the suite runner's worker processes run under
+the caller's switches.
 """
 
 from contextlib import contextmanager

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
 from random import Random
@@ -30,6 +30,7 @@ from .algebra import (
     reduce_word,
     reduction_trace,
     unit,
+    _accumulate,
     _refinements,
 )
 from .bialgebra import (
@@ -71,7 +72,6 @@ from .monoids import (
     subset_window,
     window_of,
 )
-from . import mutations
 from .scalars import ONE, Scalar
 from .tensors import TensorElement, simple_tensor, tensor_unit
 
@@ -151,22 +151,21 @@ def random_monomial(rng: Random, max_n: int, max_len: int) -> CuntzMonomial:
 
 
 def random_element(rng: Random, max_n: int, max_len: int, max_terms: int = 3) -> AlgebraElement:
-    out = ZERO_ELEMENT
-    for _ in range(rng.randint(1, max_terms)):
-        out = out + from_monomial(random_monomial(rng, max_n, max_len), random_scalar(rng))
-    return out
+    count = rng.randint(1, max_terms)
+    terms = ((random_monomial(rng, max_n, max_len), random_scalar(rng)) for _ in range(count))
+    return AlgebraElement._raw(_accumulate({}, terms))
 
 
 def random_element_in(rng: Random, components, max_len: int, max_terms: int = 3) -> AlgebraElement:
-    out = ZERO_ELEMENT
+    data: dict = {}
     for _ in range(rng.randint(1, max_terms)):
         n = rng.choice(list(components))
         total = rng.randint(0, max_len)
         left = rng.randint(0, total)
         mu = tuple(rng.randint(1, n) for _ in range(left)) if n > 1 else ()
         nu = tuple(rng.randint(1, n) for _ in range(total - left)) if n > 1 else ()
-        out = out + from_monomial(monomial(n, mu, nu), random_scalar(rng))
-    return out
+        _accumulate(data, ((monomial(n, mu, nu), random_scalar(rng)),))
+    return AlgebraElement._raw(data)
 
 
 def random_prime_set(rng: Random, cofinite_chance: float = 0.2) -> PrimeSet:
@@ -771,11 +770,12 @@ SUITE_NAMES = tuple(name for name, _ in _SUITES)
 # elements, and the dense oracle of `oracle-agreement` costs up to
 # 6^(max_word_len / 2) points per term (at 100 one run exhausted memory).
 # `cuntzsum suite --samples 1000 --max-component 1000 --max-word-len 10`
-# takes about 2.5 s in a fresh process on two processes (2-CPU Xeon; 4.7 s
-# on one); with `--bound 100000` as well, every knob at its limit, about
-# 14.5 s (20 s on one), 13 s of it in `complement-duality`, which holds one
-# window of up to 10^5 members at a time: the process that runs it peaks
-# at about 66 MB, the other at 55 MB.
+# takes 1.2-2.2 s in a fresh process on two processes (shared 2-CPU Xeon;
+# 3.5 s on one); with `--bound 100000` as well, every knob at its limit,
+# 8.5-12.5 s (10.6 s on one), 7 s or more of it in `complement-duality`,
+# which holds one window of up to 10^5 members at a time: the process that
+# runs it peaks at 62-66 MB, the other at 51-55 MB (a forked worker's peak
+# counts the pages it inherits).
 MAX_SUITE_SAMPLES = 1000
 MAX_SUITE_COMPONENT = 1000
 MAX_SUITE_WORD_LEN = 10
@@ -793,7 +793,7 @@ _KNOB_RANGES = (
 # of the others takes under 3 %.  The runner hands these out first, so
 # that the last suite any process takes is a short one.
 _HEAVIEST_SUITES = (
-    "parser-roundtrip",       # 31 %
+    "parser-roundtrip",       # 30 %
     "rewriting-termination",  # 14 %
     "hom-property",           # 9 %
     "coassociativity",        # 8 %
@@ -804,10 +804,11 @@ _HEAVIEST_SUITES = (
 )
 
 # Most processes `run_property_suite` splits the suites across, the caller
-# included.  `parser-roundtrip` alone is 31 % of a default run, so no split
-# ends before it does, and three processes already share the other 69 %
-# in about that time: a fourth cannot help.  Two processes took the
-# bench's `suite-default` batch from 0.79 to 0.45 s (2-CPU Xeon).
+# included.  `parser-roundtrip` alone is 30 % of a default run, so no split
+# ends before it does, and three processes already share the other 70 %
+# in about that time: a fourth cannot help.  Two processes take a default
+# run from 0.71-0.81 s to 0.36-0.46 s in process (seeds 0-5, 2-CPU Xeon),
+# and the bench's `suite-default` batch to about 0.38 s.
 MAX_SUITE_PROCESSES = 3
 
 # Seconds a stopped worker gets to exit before it is killed.
@@ -829,10 +830,10 @@ def _run_suite(cfg, name, func):
     return name, checks, failures, time.perf_counter() - start
 
 
-def _outcome(cfg, funcs, name):
-    """`_run_suite`'s result tuple for suite ``name``, or the exception raised."""
+def _outcome(cfg, index):
+    """`_run_suite`'s result tuple for the suite at ``index``, or the exception raised."""
     try:
-        return _run_suite(cfg, name, funcs[name])
+        return _run_suite(cfg, *_SUITES[index])
     except Exception as exc:
         return exc
 
@@ -850,29 +851,40 @@ def _claims(tasks):
         yield byte[0]
 
 
-def _suite_worker(fields, names, switches, tasks, results):
-    """A spawned worker: run the suites it claims and send back each outcome.
+def _fork_is_safe() -> bool:
+    """Whether suite workers may be forked: on Linux, from a process whose
+    only thread is the caller's.
 
-    It gets plain data only (the `SuiteConfig` fields, the suite names, the
-    caller's mutation switches and two pipe ends) and sends back plain
-    ``(index, (name, checks, failures, seconds))`` tuples, or the exception
-    in place of the result tuple.
+    A forked child holds the forking thread alone, so a lock that any
+    other thread held at the fork would stay taken in the child for good.
+    Linux lists every thread of the process in `/proc/self/task`, those
+    that `threading` does not know of too; elsewhere the listing fails.
+    """
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def _suite_worker(cfg, tasks, results):
+    """A forked worker: run the suites it claims and send back each outcome.
+
+    The fork hands it the caller's imported package, suite table and
+    mutation switches.  It sends back ``(index, outcome)`` pairs, the
+    outcome being `_run_suite`'s result tuple or the exception raised.
     """
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller takes an interrupt and stops its workers
-    cfg = SuiteConfig(*fields)
-    for switch in switches:
-        mutations.enable(switch)
-    funcs = dict(_SUITES)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)  # `terminate()` ends it at once, whatever the caller's handler
     with tasks, results:
         for index in _claims(tasks):
-            results.send((index, _outcome(cfg, funcs, names[index])))
+            results.send((index, _outcome(cfg, index)))
 
 
 def _run_split(cfg: SuiteConfig, processes: int) -> list:
     """The result tuple of every suite in declared order, run by this
-    process and ``processes - 1`` spawned workers, heaviest suites first.
+    process and ``processes - 1`` forked workers, heaviest suites first.
 
     An exception raised by a suite in any process is re-raised here once
     every suite is done, the earliest-declared first; a suite that a dead
@@ -882,27 +894,25 @@ def _run_split(cfg: SuiteConfig, processes: int) -> list:
     import multiprocessing
     from multiprocessing.connection import wait
 
-    ctx = multiprocessing.get_context("spawn")
+    ctx = multiprocessing.get_context("fork")
     names = tuple(name for name, _ in _SUITES)
     heavy = [names.index(name) for name in _HEAVIEST_SUITES if name in names]
     order = heavy + [index for index in range(len(names)) if index not in heavy]
-    funcs = dict(_SUITES)
     outcomes: dict = {}
     workers, readers = [], []
     tasks, feed = ctx.Pipe(duplex=False)
     try:
         with feed:
             os.write(feed.fileno(), bytes(order))
-        args = (astuple(cfg), names, sorted(mutations.active()), tasks)
         for _ in range(processes - 1):
             reader, writer = ctx.Pipe(duplex=False)
             readers.append(reader)
             with writer:  # once started, the worker holds the only write end
-                worker = ctx.Process(target=_suite_worker, args=(*args, writer))
+                worker = ctx.Process(target=_suite_worker, args=(cfg, tasks, writer))
                 worker.start()
             workers.append(worker)
         for index in _claims(tasks):
-            outcomes[index] = _outcome(cfg, funcs, names[index])
+            outcomes[index] = _outcome(cfg, index)
         # a worker's pipe reads end-of-file once the worker has exited
         pending = list(readers)
         while pending and len(outcomes) < len(names):
@@ -935,10 +945,11 @@ def _run_split(cfg: SuiteConfig, processes: int) -> list:
 
 def run_property_suite(cfg: SuiteConfig = SuiteConfig()) -> SuiteReport:
     """Run every suite, in this process and up to `MAX_SUITE_PROCESSES` - 1
-    spawned workers, one per further CPU this process may use.
+    forked workers, one per further CPU this process may use.
 
     The report lists the suites in declared order, whichever process ran
-    them.  With one CPU, or one suite, no process is started.
+    them.  With one CPU or one suite, off Linux, or while another thread
+    is alive, no process is started and this process runs every suite.
     """
     # every lower limit is checked before any upper one, all before the first suite runs
     for name, least, _ in _KNOB_RANGES:
@@ -951,7 +962,7 @@ def run_property_suite(cfg: SuiteConfig = SuiteConfig()) -> SuiteReport:
             raise InputError(f"suite {name} must be <= {most}, got {value}")
     report = SuiteReport(cfg)
     processes = min(MAX_SUITE_PROCESSES, _usable_cpus(), len(_SUITES))
-    if processes > 1:
+    if processes > 1 and _fork_is_safe():
         report.results = [SuiteResult(*outcome) for outcome in _run_split(cfg, processes)]
         return report
     for name, func in _SUITES:

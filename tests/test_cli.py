@@ -16,7 +16,7 @@ from cuntzsum import cli, monoids
 from cuntzsum.algebra import MAX_PUSHED_KEYS
 from cuntzsum.classify import classify_component_set
 from cuntzsum.cli import build_parser, main
-from cuntzsum.exprs import MAX_PRODUCT_TERMS
+from cuntzsum.exprs import MAX_PARSE_PAIRS, MAX_PRODUCT_TERMS
 from cuntzsum.monoids import MAX_BOUND, MAX_DIVISOR_TRIPLES, MAX_FACTOR, PrimeSet, SubmonoidView, window_of
 
 # Python 3.10.7 and later refuse to convert ints of more than 4,300
@@ -371,6 +371,19 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert err == f"error: product of 8192 by 2 terms would pair more than {MAX_PRODUCT_TERMS}\n"
 
+    def test_input_past_its_pair_budget_exit_2_in_a_fresh_process(self):
+        # 13 two-term factors, then 100 single generators (907 characters)
+        expr = "*".join(["(s(2,1)+s(2,2))"] * 13) + "*s(2,1)" * 100
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "cuntzsum", "eq", expr, "0"],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert time.perf_counter() - start < 5.0
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: the products of this input would pair more than {MAX_PARSE_PAIRS} terms in all\n"
+
     def test_deep_nesting_exit_2(self, capsys):
         code, out, err = run(capsys, "norm", "(" * 5000 + "s(2,1)" + ")" * 5000)
         assert code == 2 and out == ""
@@ -613,7 +626,7 @@ def test_python_dash_m_runs_the_cli():
 
 
 def test_suite_report_does_not_depend_on_the_hash_seed():
-    # every worker process draws its own hash seed unless one is set
+    # the interpreter draws a fresh hash seed for each run unless one is set
     src = str(Path(__file__).resolve().parents[1] / "src")
     reports = []
     for hash_seed in ("0", "1"):

@@ -208,6 +208,71 @@ class TestProductCap:
         assert len(x * y) == 10_100
 
 
+_BIG = "*".join(["(s(2,1)+s(2,2))"] * 13)  # 8,192 terms, after 16,380 pairs
+_BUDGET_ERROR = f"^the products of this input would pair more than {exprs.MAX_PARSE_PAIRS} terms in all$"
+
+
+class TestParseBudget:
+    def test_an_input_within_the_budget_is_read(self):
+        assert exprs.MAX_PARSE_PAIRS == 40_000
+        # 16,380 + 2 * 8,192 = 32,764 pairs; a third generator would make 40,956
+        assert len(parse_element(f"{_BIG}*s(2,1)*s(2,1)")) == 8192
+
+    def test_an_input_past_the_budget_is_refused_before_its_product(self, monkeypatch):
+        text = f"{_BIG}*s(2,1)*s(2,1)*s(2,1)"
+        products = 0
+        mul = AlgebraElement.__mul__
+
+        def counted(self, other):
+            nonlocal products
+            products += 1
+            return mul(self, other)
+
+        monkeypatch.setattr(AlgebraElement, "__mul__", counted)
+        with pytest.raises(InputError, match=_BUDGET_ERROR):
+            parse_element(text)
+        assert products == 14
+
+    def test_single_generators_after_a_large_product(self):
+        # each factor re-pairs all 8,192 terms: 100 of them took 13.6 s unbounded
+        start = time.perf_counter()
+        with pytest.raises(InputError, match=_BUDGET_ERROR):
+            parse_element(_BIG + "*s(2,1)" * 100)
+        assert time.perf_counter() - start < 5.0
+
+    def test_products_in_nested_groups_count(self):
+        # each group is a term of its own, with one product of 8,192 by 1
+        start = time.perf_counter()
+        with pytest.raises(InputError, match=_BUDGET_ERROR):
+            parse_element("(" * 100 + _BIG + ")*s(2,1)" * 100)
+        assert time.perf_counter() - start < 5.0
+
+    def test_the_terms_of_a_sum_share_one_budget(self):
+        # each term alone pairs 16,380: together they pass 40,000 in the third
+        assert len(parse_element(f"{_BIG} + {_BIG}")) == 8192
+        for text in (f"{_BIG} + {_BIG} + {_BIG}", f"({_BIG}) + (({_BIG}) + {_BIG})"):
+            with pytest.raises(InputError, match=_BUDGET_ERROR):
+                parse_element(text)
+        # ten terms of 32,764 pairs each (2,237 characters) took 5.5 s unbounded
+        term = f"{_BIG}*s(2,1)*s(2,1)"
+        start = time.perf_counter()
+        with pytest.raises(InputError, match=_BUDGET_ERROR):
+            parse_element(" + ".join([term] * 10))
+        assert time.perf_counter() - start < 5.0
+
+    def test_the_budget_keeps_the_place_of_the_product_cap_in_reading_order(self):
+        past = f"{_BIG}*s(2,1)*s(2,1)"
+        # a factor's own error comes before the check on its product
+        with pytest.raises(InputError, match=r"s\(2,3\)"):
+            parse_element(f"{past}*s(2,3)")
+        # the budget's error comes before any error after it
+        with pytest.raises(InputError, match=_BUDGET_ERROR):
+            parse_element(f"{past}*s(2,1)*s(3,4) + s(2,")
+        # lexical errors still come first
+        with pytest.raises(ParseError, match="'@'"):
+            parse_element(f"{past}*s(2,1) @")
+
+
 # The grammar, each rule drawn with the value it denotes: the value is
 # built from `generator`, `adjoint`, `unit`, `Scalar`, `+`, `*` and `scale`
 # alone, never by the parser.

@@ -2,6 +2,7 @@ import array
 import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -253,11 +254,14 @@ def test_suite_knob_limits(monkeypatch, knob, limit):
 
 # ---------------------------------------------------------------------------
 # The runner across processes.  `_usable_cpus` is the one seam that sets how
-# many processes run the suites; a spawned worker runs the package's own
-# `_SUITES`, looked up by the names the caller sends, while a patched
-# `_SUITES`, `_HEAVIEST_SUITES` or `_claims` acts in the calling process only.
+# many processes run the suites.  Workers are forked, so whatever the caller
+# patched before the run, `_SUITES`, `_HEAVIEST_SUITES`, `_claims`,
+# `_run_suite` or a mutation switch, is what its workers run with too.
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# Workers are forked on Linux only; elsewhere every suite runs in the caller.
+forks = pytest.mark.skipif(sys.platform != "linux", reason="suite workers are forked on Linux only")
 
 
 def _force_processes(monkeypatch, count):
@@ -275,30 +279,61 @@ def _unclaimed(tasks):
 
 
 def _hold_first_claim(monkeypatch):
-    """After the caller claims its first suite, it waits until a worker has
-    claimed the next one; so the worker surely runs the second suite handed out."""
+    """Order the first two claims: the caller takes the first suite handed
+    out, and goes on only once a worker has taken the second; so the worker
+    surely runs the second.  A forked worker inherits the patch, and waits
+    for the caller's first claim before it claims."""
     claims = suites._claims
+    caller = os.getpid()
+
+    def wait_below(tasks, count):
+        deadline = time.monotonic() + 60
+        while _unclaimed(tasks) >= count:
+            assert time.monotonic() < deadline, "no other process claimed a suite"
+            time.sleep(0.005)
 
     def held(tasks):
+        if os.getpid() != caller:
+            wait_below(tasks, len(suites._SUITES))
+            yield from claims(tasks)
+            return
         indexes = claims(tasks)
         first = next(indexes, None)
         if first is None:
             return
         left = _unclaimed(tasks)
-        deadline = time.monotonic() + 60
-        while left and _unclaimed(tasks) == left:
-            assert time.monotonic() < deadline, "no worker claimed a suite"
-            time.sleep(0.005)
+        if left:
+            wait_below(tasks, left)
         yield first
         yield from indexes
 
     monkeypatch.setattr(suites, "_claims", held)
 
 
+def _log_runs(monkeypatch, path):
+    """Log a ``name pid`` line to ``path`` for each suite run, in whichever
+    process runs it; return a reader of the suite-to-pid map."""
+    run = suites._run_suite
+
+    def logged(cfg, name, func):
+        with open(path, "a") as log:
+            log.write(f"{name} {os.getpid()}\n")
+        return run(cfg, name, func)
+
+    monkeypatch.setattr(suites, "_run_suite", logged)
+    return lambda: {name: int(pid) for name, pid in (line.split() for line in path.read_text().splitlines())}
+
+
 def _outcomes(report):
     return [(r.name, r.checks, r.failures) for r in report.results]
 
 
+def _hang(cfg, rng, fail):
+    time.sleep(120)  # the worker running this is stopped long before it ends
+    return 0
+
+
+@forks
 @pytest.mark.parametrize("mutation, worker_first", [
     (None, "rewriting-termination"),
     (mutations.DROP_DIVISOR_PAIR, "hom-property"),
@@ -306,7 +341,7 @@ def _outcomes(report):
     (mutations.ONE_IS_PRIME, "factorization"),
 ])
 @pytest.mark.parametrize("seed", [0, 1])
-def test_two_processes_report_what_one_does(monkeypatch, seed, mutation, worker_first):
+def test_two_processes_report_what_one_does(monkeypatch, tmp_path, seed, mutation, worker_first):
     # the worker takes a suite that the switch breaks, so the switch must reach it
     cfg = replace(SMALL, seed=seed)
     if mutation:
@@ -316,13 +351,18 @@ def test_two_processes_report_what_one_does(monkeypatch, seed, mutation, worker_
     _force_processes(monkeypatch, 2)
     monkeypatch.setattr(suites, "_HEAVIEST_SUITES", ("parser-roundtrip", worker_first))
     _hold_first_claim(monkeypatch)
+    ran_in = _log_runs(monkeypatch, tmp_path / "runs")
     split = _outcomes(run_property_suite(cfg))
     assert split == alone
     assert multiprocessing.active_children() == []
+    pids = ran_in()
+    assert pids["parser-roundtrip"] == os.getpid() != pids[worker_first]
+    assert set(pids) == set(SUITE_NAMES) and len(set(pids.values())) == 2
     if mutation:
         assert dict((name, failures) for name, _, failures in split)[worker_first]
 
 
+@forks
 def test_more_processes_than_cpus_share_the_task_pipe(monkeypatch):
     # four processes, more than a 2-CPU host has, read one pipe: a suite handed
     # out twice or lost would change the report or raise
@@ -337,40 +377,69 @@ def test_more_processes_than_cpus_share_the_task_pipe(monkeypatch):
     assert time.monotonic() - start < 120
 
 
+@forks
 def test_a_worker_exception_comes_back_and_the_earliest_declared_wins(monkeypatch):
-    # the worker knows no suite "ghost", so its lookup raises KeyError('ghost');
-    # the caller's later-declared suite raises too, and loses
+    # the worker's earlier-declared suite raises; the caller's later-declared
+    # suite raises too, and loses
+    def worker_suite(cfg, rng, fail):
+        raise LookupError(os.getpid())
+
     def caller_suite(cfg, rng, fail):
         raise ValueError("raised in the caller")
 
-    def ghost(cfg, rng, fail):
-        raise AssertionError("ghost ran in the caller")
-
     _force_processes(monkeypatch, 2)
-    monkeypatch.setattr(suites, "_SUITES", (("ghost", ghost), ("caller", caller_suite)))
-    monkeypatch.setattr(suites, "_HEAVIEST_SUITES", ("caller", "ghost"))
+    monkeypatch.setattr(suites, "_SUITES", (("worker", worker_suite), ("caller", caller_suite)))
+    monkeypatch.setattr(suites, "_HEAVIEST_SUITES", ("caller", "worker"))
     _hold_first_claim(monkeypatch)
-    with pytest.raises(KeyError) as raised:
+    with pytest.raises(LookupError) as raised:
         run_property_suite(SMALL)
-    assert str(raised.value) == "'ghost'"
+    assert raised.value.args[0] != os.getpid()
     assert multiprocessing.active_children() == []
 
 
+@forks
 def test_an_interrupt_in_the_callers_share_stops_the_workers(monkeypatch):
     def interrupt(cfg, rng, fail):
         raise KeyboardInterrupt
 
     _force_processes(monkeypatch, 2)
-    monkeypatch.setattr(suites, "_SUITES", (("interrupt", interrupt), ("parser-roundtrip", None)))
+    monkeypatch.setattr(suites, "_SUITES", (("interrupt", interrupt), ("hang", _hang)))
     monkeypatch.setattr(suites, "_HEAVIEST_SUITES", ())
     _hold_first_claim(monkeypatch)
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        run_property_suite(SuiteConfig(sample_count=MAX_SUITE_SAMPLES))
+        run_property_suite(SMALL)
     assert multiprocessing.active_children() == []
     assert time.monotonic() - start < 30
 
 
+@forks
+def test_a_stopped_worker_ends_at_once_whatever_the_callers_sigterm_handler(monkeypatch):
+    # a forked worker would inherit a handler that raises, take the exception
+    # as its suite's outcome and go on to claim the next suite
+    def interrupt(cfg, rng, fail):
+        raise KeyboardInterrupt
+
+    def raise_on_sigterm(signum, frame):
+        raise RuntimeError("SIGTERM")
+
+    _force_processes(monkeypatch, 2)
+    monkeypatch.setattr(suites, "_SUITES", (("interrupt", interrupt), ("hang", _hang), ("hang again", _hang)))
+    monkeypatch.setattr(suites, "_HEAVIEST_SUITES", ())
+    monkeypatch.setattr(suites, "_WORKER_STOP_S", 60.0)
+    _hold_first_claim(monkeypatch)
+    previous = signal.signal(signal.SIGTERM, raise_on_sigterm)
+    try:
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_property_suite(SMALL)
+        assert time.monotonic() - start < 30
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert multiprocessing.active_children() == []
+
+
+@forks
 def test_a_worker_killed_mid_run_is_reported_and_reaped(monkeypatch):
     def kill_the_worker(cfg, rng, fail):
         for worker in multiprocessing.active_children():
@@ -380,11 +449,31 @@ def test_a_worker_killed_mid_run_is_reported_and_reaped(monkeypatch):
         return 0
 
     _force_processes(monkeypatch, 2)
-    monkeypatch.setattr(suites, "_SUITES", (("kill", kill_the_worker), ("parser-roundtrip", None)))
+    monkeypatch.setattr(suites, "_SUITES", (("kill", kill_the_worker), ("hang", _hang)))
     monkeypatch.setattr(suites, "_HEAVIEST_SUITES", ())
     _hold_first_claim(monkeypatch)
-    with pytest.raises(RuntimeError, match="^suite parser-roundtrip was never reported"):
-        run_property_suite(SuiteConfig(sample_count=MAX_SUITE_SAMPLES))
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="^suite hang was never reported"):
+        run_property_suite(SMALL)
+    assert multiprocessing.active_children() == []
+    assert time.monotonic() - start < 30
+
+
+def test_with_a_second_thread_alive_no_process_starts(monkeypatch):
+    _force_processes(monkeypatch, 1)
+    alone = _outcomes(run_property_suite(SMALL))
+    _force_processes(monkeypatch, 2)
+    assert suites._fork_is_safe() == (sys.platform == "linux")
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert not suites._fork_is_safe()
+        monkeypatch.setattr(os, "fork", None)  # a fork would raise TypeError
+        assert _outcomes(run_property_suite(SMALL)) == alone
+    finally:
+        release.set()
+        thread.join(timeout=10)
     assert multiprocessing.active_children() == []
 
 
@@ -405,10 +494,10 @@ def test_no_process_starts_without_suites_or_with_a_bad_config(monkeypatch):
     assert run_property_suite(SMALL).results == []
 
 
-def _python(script, **env):
+def _python(*args):
     proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": SRC, **env},
+        [sys.executable, *args], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": SRC},
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -416,7 +505,7 @@ def _python(script, **env):
 
 def test_importing_the_cli_does_not_import_multiprocessing():
     script = "import sys, cuntzsum.cli; print('multiprocessing' in sys.modules)"
-    assert _python(script) == "False\n"
+    assert _python("-c", script) == "False\n"
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
@@ -428,4 +517,54 @@ def test_a_process_pinned_to_one_cpu_starts_no_worker():
         "report = run_property_suite(SuiteConfig(bound=60, max_component=4, max_word_len=2, sample_count=4))\n"
         "print(len(report.results), report.all_passed, 'multiprocessing' in sys.modules)\n"
     )
-    assert _python(script) == f"{len(SUITE_NAMES)} True False\n"
+    assert _python("-c", script) == f"{len(SUITE_NAMES)} True False\n"
+
+
+def test_a_live_thread_keeps_the_run_in_one_process_when_warnings_are_errors():
+    # Python 3.12 and later warn when a process with threads forks; as an
+    # error, that warning would fail this run if the runner forked here
+    script = (
+        "import sys, threading\n"
+        "from cuntzsum import suites\n"
+        "suites._usable_cpus = lambda: 2\n"
+        "release = threading.Event()\n"
+        "thread = threading.Thread(target=release.wait)\n"
+        "thread.start()\n"
+        "report = suites.run_property_suite(suites.SuiteConfig(bound=60, max_component=4, max_word_len=2, sample_count=4))\n"
+        "release.set()\n"
+        "thread.join()\n"
+        "print(len(report.results), report.all_passed, 'multiprocessing' in sys.modules)\n"
+    )
+    assert _python("-W", "error::DeprecationWarning", "-c", script) == f"{len(SUITE_NAMES)} True False\n"
+
+
+# A script with no `if __name__ == "__main__":` guard: the workers are
+# forked, so none re-runs the script.
+_UNGUARDED = """\
+import os, sys
+from cuntzsum import suites
+suites._usable_cpus = lambda: 2
+run = suites._run_suite
+def logged(cfg, name, func):
+    with open(sys.argv[1], "a") as log:
+        log.write(f"{os.getpid()}\\n")
+    return run(cfg, name, func)
+suites._run_suite = logged
+report = suites.run_property_suite(suites.SuiteConfig(bound=60, max_component=4, max_word_len=2, sample_count=4))
+with open(sys.argv[1]) as log:
+    pids = log.read().split()
+print(len(report.results), report.all_passed, len(pids), len(set(pids)))
+"""
+
+
+@forks
+@pytest.mark.parametrize("form", ["-c", "file"])
+def test_a_script_without_a_main_guard_runs_a_two_process_suite(tmp_path, form):
+    log = tmp_path / "pids"
+    if form == "-c":
+        args = ("-c", _UNGUARDED)
+    else:
+        script = tmp_path / "unguarded.py"
+        script.write_text(_UNGUARDED)
+        args = (str(script),)
+    assert _python(*args, str(log)) == f"{len(SUITE_NAMES)} True {len(SUITE_NAMES)} 2\n"

@@ -16,11 +16,9 @@ from .algebra import (
     canonical_form,
     coefficient_extract,
     equals,
-    expand_to_level,
     from_monomial,
     generator,
     monomial,
-    raw_word,
     reduce_word,
     unit,
 )
@@ -35,8 +33,6 @@ from .bialgebra import (
     delta,
     delta_H,
     delta_restricted,
-    lift_left,
-    lift_right,
     phi,
 )
 from .classify import (

@@ -49,6 +49,8 @@ class CuntzMonomial(NamedTuple):
 
 
 def _check_letters(n: int, letters: Iterable[int]) -> None:
+    if n < 1:
+        raise InputError(f"component index must be >= 1, got {n}")
     for letter in letters:
         if not 1 <= letter <= n:
             raise InputError(f"letter {letter} out of range 1..{n} in component {n}")
@@ -58,8 +60,6 @@ def monomial(n: int, mu: Iterable[int] = (), nu: Iterable[int] = ()) -> CuntzMon
     """Validating constructor; collapses every component-1 word to I_1."""
     mu = tuple(mu)
     nu = tuple(nu)
-    if n < 1:
-        raise InputError(f"component index must be >= 1, got {n}")
     _check_letters(n, mu + nu)
     if n == 1:
         return CuntzMonomial(1, (), ())
@@ -71,14 +71,6 @@ class RawWord(NamedTuple):
 
     n: int
     letters: tuple[tuple[int, bool], ...]  # (index, starred)
-
-
-def raw_word(n: int, letters: Iterable[tuple[int, bool]]) -> RawWord:
-    letters = tuple((int(i), bool(star)) for i, star in letters)
-    if n < 1:
-        raise InputError(f"component index must be >= 1, got {n}")
-    _check_letters(n, (i for i, _ in letters))
-    return RawWord(n, letters)
 
 
 def _mono_mul(a: CuntzMonomial, b: CuntzMonomial) -> CuntzMonomial | None:

@@ -18,6 +18,7 @@ element reproduces its equality class byte-for-byte.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .algebra import (
@@ -274,10 +275,18 @@ def _word_field(word: tuple[int, ...]) -> str:
 
 
 def _parse_word_field(field: str) -> tuple[int, ...]:
-    field = field.strip()
     if field == "-":
         return ()
     return tuple(int(part) for part in field.split(","))
+
+
+_COEFF_FIELD = re.compile(r"-?[0-9]+(?:/[0-9]+)?")  # what `_coeff_fields` writes, or a bare integer
+
+
+def _coeff_field(field: str) -> Fraction:
+    if not _COEFF_FIELD.fullmatch(field):
+        raise ValueError(f"Invalid literal for Fraction: {field!r}")
+    return Fraction(field)
 
 
 def _coeff_fields(c: Scalar) -> str:
@@ -311,7 +320,7 @@ def deserialize_element(text: str) -> AlgebraElement:
             raise InputError(f"line {lineno}: expected 5 fields, found {len(fields)}")
         try:
             mono = monomial(int(fields[0]), _parse_word_field(fields[1]), _parse_word_field(fields[2]))
-            coeff = Scalar(Fraction(fields[3]), Fraction(fields[4]))
+            coeff = Scalar(_coeff_field(fields[3]), _coeff_field(fields[4]))
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"line {lineno}: bad field: {exc}") from None
         terms.append((mono, coeff))

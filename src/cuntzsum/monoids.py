@@ -321,29 +321,23 @@ def subset_window(bound: int, members: Iterable[int]) -> SubsetWindow:
     return SubsetWindow(bound, members)
 
 
-def window_of(view, bound: int) -> SubsetWindow:
-    """Window trace of any object with a ``contains`` method; a generated submonoid's is sieved."""
-    _check_bound(bound)
-    if isinstance(view, SubmonoidView):
-        return SubsetWindow(bound, _generated_trace(view.generator_set, bound))
-    return SubsetWindow(bound, frozenset(n for n in range(1, bound + 1) if view.contains(n)))
-
-
-def _generated_trace(generators: PrimeSet, bound: int) -> frozenset[int]:
-    """The n in 1..bound whose prime factors all lie in ``generators``.
+def window_of(view: SubmonoidView, bound: int) -> SubsetWindow:
+    """The window trace of a generated submonoid: the n in 1..bound whose
+    prime factors all lie in its generator set, sieved from those primes.
 
     A finite set multiplies out the powers of its primes; a cofinite one
     keeps the window less the multiples of each excluded prime.  A listed
     1 (a prime only under the one-is-prime mutation) is no prime factor
     of any n, so it is skipped.
     """
-    primes = [p for p in generators.primes if 1 < p <= bound]
-    if generators.cofinite:
+    _check_bound(bound)
+    primes = [p for p in view.generator_set.primes if 1 < p <= bound]
+    if view.generator_set.cofinite:
         keep = bytearray([1]) * (bound + 1)
         keep[0] = 0
         for q in primes:
             keep[q::q] = bytes(len(range(q, bound + 1, q)))
-        return frozenset(compress(range(bound + 1), keep))
+        return SubsetWindow(bound, frozenset(compress(range(bound + 1), keep)))
     members = {1}
     for p in primes:
         # the members up to bound // p, read from the shorter of the set and that range,
@@ -357,7 +351,7 @@ def _generated_trace(generators: PrimeSet, bound: int) -> frozenset[int]:
             layer = set(map(p.__mul__, layer))
             members |= layer
             layer = set(filter(cap.__ge__, layer))
-    return frozenset(members)
+    return SubsetWindow(bound, frozenset(members))
 
 
 # ---------------------------------------------------------------------------

@@ -35,11 +35,6 @@ def is_active(name: str) -> bool:
     return name in _active.get()
 
 
-def active() -> frozenset:
-    """The switches enabled in this thread (or context)."""
-    return _active.get()
-
-
 @contextmanager
 def enabled(name: str):
     """Enable ``name`` for the block, then restore the switches as they were."""

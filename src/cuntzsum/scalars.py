@@ -64,7 +64,10 @@ class Scalar:
         return Scalar(-self.re, -self.im)
 
     def __mul__(self, other):
-        other = Scalar.coerce(other)
+        if not isinstance(other, Scalar):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Scalar(other)
         return Scalar(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,

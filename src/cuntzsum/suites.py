@@ -816,11 +816,8 @@ _WORKER_STOP_S = 5.0
 
 
 def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without CPU affinity
-        return os.cpu_count() or 1
+    """The number of CPUs this process may run on; asked only where `_fork_is_safe`, so on Linux."""
+    return len(os.sched_getaffinity(0))
 
 
 def _run_suite(cfg, name, func):
@@ -961,8 +958,8 @@ def run_property_suite(cfg: SuiteConfig = SuiteConfig()) -> SuiteReport:
         if value > most:
             raise InputError(f"suite {name} must be <= {most}, got {value}")
     report = SuiteReport(cfg)
-    processes = min(MAX_SUITE_PROCESSES, _usable_cpus(), len(_SUITES))
-    if processes > 1 and _fork_is_safe():
+    processes = min(MAX_SUITE_PROCESSES, _usable_cpus(), len(_SUITES)) if _fork_is_safe() else 1
+    if processes > 1:
         report.results = [SuiteResult(*outcome) for outcome in _run_split(cfg, processes)]
         return report
     for name, func in _SUITES:

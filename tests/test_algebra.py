@@ -13,22 +13,20 @@ from cuntzsum import (
     canonical_form,
     coefficient_extract,
     equals,
-    expand_to_level,
     from_monomial,
     generator,
     monomial,
-    raw_word,
     reduce_word,
     render_element,
     render_tensor,
     tensor_unit,
     unit,
 )
-from cuntzsum.algebra import CuntzMonomial, RawWord, reduction_trace
+from cuntzsum.algebra import CuntzMonomial, RawWord, expand_to_level, reduction_trace
 
 
 def word(n, *letters):
-    return raw_word(n, letters)
+    return RawWord(n, letters)
 
 
 class TestReduceWord:
@@ -50,7 +48,7 @@ class TestReduceWord:
 
     def test_malformed_letter(self):
         with pytest.raises(InputError):
-            reduce_word(raw_word(2, ((3, False),)))
+            reduce_word(RawWord(2, ((3, False),)))
 
     def test_trace_strictly_decreasing(self):
         trace = reduction_trace(word(2, (1, False), (2, True), (2, False), (1, True)))
@@ -225,16 +223,26 @@ class TestMonomialConstruction:
             monomial(0)
 
     def test_every_letter_check_names_the_first_bad_letter(self):
-        # monomial, raw_word and word reduction share one check and message;
-        # mu is checked before nu, and a RawWord built directly is checked
-        # when it is reduced.
+        # monomial and word reduction share one check and message; mu is
+        # checked before nu, and a RawWord is checked when it is reduced.
         msg = r"^letter 3 out of range 1\.\.2 in component 2$"
         for make in (
             lambda: monomial(2, (1,), (3, 5)),
             lambda: monomial(2, (3,), (5,)),
-            lambda: raw_word(2, ((1, True), (3, False), (5, True))),
             lambda: reduce_word(RawWord(2, ((3, False), (5, False)))),
             lambda: reduction_trace(RawWord(2, ((1, False), (3, True)))),
+        ):
+            with pytest.raises(InputError, match=msg):
+                make()
+
+    def test_a_word_in_no_component_is_refused_before_its_letters(self):
+        msg = r"^component index must be >= 1, got 0$"
+        for make in (
+            lambda: monomial(0, (1,)),
+            lambda: reduce_word(RawWord(0, ())),
+            lambda: reduce_word(RawWord(0, ((1, False),))),
+            lambda: reduction_trace(RawWord(0, ())),
+            lambda: reduction_trace(RawWord(0, ((1, True), (1, False)))),
         ):
             with pytest.raises(InputError, match=msg):
                 make()

@@ -27,8 +27,6 @@ from cuntzsum import (
     equals,
     from_monomial,
     generator,
-    lift_left,
-    lift_right,
     monomial,
     parse_element,
     phi,
@@ -37,6 +35,7 @@ from cuntzsum import (
     unit,
 )
 from cuntzsum import bialgebra
+from cuntzsum.bialgebra import lift_left, lift_right
 
 
 def ordered_triples(n):

@@ -22,8 +22,6 @@ from cuntzsum import (
     check_coassociativity,
     delta,
     from_monomial,
-    lift_left,
-    lift_right,
     monomial,
     render_element,
     render_tensor,
@@ -33,6 +31,7 @@ from cuntzsum import (
     unit,
 )
 from cuntzsum import bialgebra, exprs, mutations
+from cuntzsum.bialgebra import lift_left, lift_right
 from cuntzsum.cli import main
 from dense_reference import dense_canonical_form, dense_canonical_tensor_form, refinements
 

@@ -412,7 +412,12 @@ class TestSerialization:
 
     @pytest.mark.parametrize(
         "line",
-        ["x | - | - | 1/1 | 0/1", "2 | a | - | 1 | 0", "2 | 1 | - | 1/0 | 0/1"],
+        [
+            "x | - | - | 1/1 | 0/1", "2 | a | - | 1 | 0", "2 | 1 | - | 1/0 | 0/1",
+            # only integers and integer fractions, as serialized; `1e5000000` built 10^5000000
+            "2 | 1 | - | 1.5 | 0", "2 | 1 | - | 1e3 | 0", "2 | 1 | - | 1_0 | 0",
+            "2 | 1 | - | +3 | 0", "2 | 1 | - | 1 | 1e5000000",
+        ],
     )
     def test_bad_field_names_its_line(self, line):
         with pytest.raises(InputError, match="^line 2: "):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 
 from conftest import scalars
-from cuntzsum import Scalar
+from cuntzsum import Scalar, delta, generator, unit
 
 
 def test_normalization():
@@ -24,6 +24,16 @@ def test_field_ops():
     assert -a == Scalar(Fraction(-1, 2), Fraction(-1, 3))
     assert a.conjugate() == Scalar(Fraction(1, 2), Fraction(-1, 3))
     assert Scalar(0, 1) * Scalar(0, 1) == Scalar(-1)
+
+
+def test_a_scalar_scales_an_element_from_either_side():
+    x = generator(2, 1) + unit(3).scale(Scalar(0, 1))
+    for value in (x, delta(x)):
+        assert Scalar(2) * value == value * Scalar(2) == value.scale(2)
+    with pytest.raises(TypeError):
+        Scalar(1) * "a"
+    with pytest.raises(TypeError):
+        "a" * Scalar(1)
 
 
 def test_inverse():

@@ -477,6 +477,18 @@ def test_with_a_second_thread_alive_no_process_starts(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_off_linux_no_process_starts_and_no_cpu_count_is_asked(monkeypatch):
+    _force_processes(monkeypatch, 1)
+    alone = _outcomes(run_property_suite(SMALL))
+    monkeypatch.undo()
+    # as where `/proc/self/task` cannot be listed and there is no CPU affinity
+    monkeypatch.setattr(suites, "_fork_is_safe", lambda: False)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "fork", None)  # a fork would raise TypeError
+    assert _outcomes(run_property_suite(SMALL)) == alone
+    assert multiprocessing.active_children() == []
+
+
 def test_the_heaviest_suites_are_declared_suites():
     assert set(suites._HEAVIEST_SUITES) <= set(SUITE_NAMES)
     assert len(set(suites._HEAVIEST_SUITES)) == len(suites._HEAVIEST_SUITES)

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from . import mutations
 from .errors import InputError
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, _SCALAR_TYPES
 
 
 class CuntzMonomial(NamedTuple):
@@ -196,7 +196,7 @@ class LinearCombination:
         return self + (-other)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Scalar)):
+        if isinstance(other, _SCALAR_TYPES):
             return self.scale(other)
         return NotImplemented
 
@@ -265,7 +265,7 @@ class AlgebraElement(LinearCombination):
         return {m.n for m in self._terms}
 
     def __mul__(self, other):
-        if isinstance(other, (int, Scalar)):
+        if isinstance(other, _SCALAR_TYPES):
             return self.scale(other)
         if not isinstance(other, AlgebraElement):
             return NotImplemented

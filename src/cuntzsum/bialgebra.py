@@ -38,12 +38,20 @@ from . import mutations
 from .monoids import MAX_DIVISOR_TRIPLES, divisor_pairs, divisor_triple_count
 
 
+I_1 = CuntzMonomial(1, (), ())
+
+
 def _split_monomial(mono: CuntzMonomial, n: int, m: int) -> tuple[CuntzMonomial, CuntzMonomial]:
     """The halves of ``mono`` in components n and m, letter a going to i and j with a - 1 =
-    m*(i - 1) + (j - 1), the single source of truth for phi; a component-1 half keeps no letters: I_1."""
+    m*(i - 1) + (j - 1), the single source of truth for phi; a component-1 half keeps no letters:
+    `I_1`, and the other half is then ``mono`` itself."""
+    if n == 1:
+        return I_1, mono
+    if m == 1:
+        return mono, I_1
     mu, nu = mono.mu, mono.nu
-    left = CuntzMonomial(n, tuple((a - 1) // m + 1 for a in mu if n > 1), tuple((a - 1) // m + 1 for a in nu if n > 1))
-    right = CuntzMonomial(m, tuple((a - 1) % m + 1 for a in mu if m > 1), tuple((a - 1) % m + 1 for a in nu if m > 1))
+    left = CuntzMonomial(n, tuple((a - 1) // m + 1 for a in mu), tuple((a - 1) // m + 1 for a in nu))
+    right = CuntzMonomial(m, tuple((a - 1) % m + 1 for a in mu), tuple((a - 1) % m + 1 for a in nu))
     return left, right
 
 

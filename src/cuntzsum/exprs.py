@@ -274,10 +274,19 @@ def _word_field(word: tuple[int, ...]) -> str:
     return ",".join(str(i) for i in word) if word else "-"
 
 
+_INT_FIELD = re.compile(r"[0-9]+")  # what `_mono_fields` writes for a component or a letter
+
+
+def _int_field(field: str) -> int:
+    if not _INT_FIELD.fullmatch(field):
+        raise ValueError(f"invalid literal for int() with base 10: {field!r}")
+    return int(field)
+
+
 def _parse_word_field(field: str) -> tuple[int, ...]:
     if field == "-":
         return ()
-    return tuple(int(part) for part in field.split(","))
+    return tuple(_int_field(part) for part in field.split(","))
 
 
 _COEFF_FIELD = re.compile(r"-?[0-9]+(?:/[0-9]+)?")  # what `_coeff_fields` writes, or a bare integer
@@ -319,7 +328,9 @@ def deserialize_element(text: str) -> AlgebraElement:
         if len(fields) != 5:
             raise InputError(f"line {lineno}: expected 5 fields, found {len(fields)}")
         try:
-            mono = monomial(int(fields[0]), _parse_word_field(fields[1]), _parse_word_field(fields[2]))
+            mono = monomial(
+                _int_field(fields[0]), _parse_word_field(fields[1]), _parse_word_field(fields[2])
+            )
             coeff = Scalar(_coeff_field(fields[3]), _coeff_field(fields[4]))
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"line {lineno}: bad field: {exc}") from None

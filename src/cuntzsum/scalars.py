@@ -1,8 +1,8 @@
 """Exact Gaussian-rational scalars.
 
-A scalar is ``re + im*i`` with both parts ``fractions.Fraction``, so every
-field operation is exact, denominators stay positive, fractions stay in
-lowest terms, and zero has the unique form 0/1.
+A scalar is ``re + im*i`` with both parts exactly ``fractions.Fraction``,
+so every field operation is exact, denominators stay positive, fractions
+stay in lowest terms, and zero has the unique form 0/1.
 """
 
 from __future__ import annotations
@@ -16,8 +16,10 @@ class Scalar:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        # An exact Fraction is kept as it is; anything else (an int, a bool, a
+        # Fraction subclass, a string) goes through `Fraction()`.
+        _set_re(self, re if type(re) is Fraction else Fraction(re))
+        _set_im(self, im if type(im) is Fraction else Fraction(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -49,26 +51,26 @@ class Scalar:
 
     def __add__(self, other):
         other = Scalar.coerce(other)
-        return Scalar(self.re + other.re, self.im + other.im)
+        return _of(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = Scalar.coerce(other)
-        return Scalar(self.re - other.re, self.im - other.im)
+        return _of(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         return Scalar.coerce(other) - self
 
     def __neg__(self):
-        return Scalar(-self.re, -self.im)
+        return _of(-self.re, -self.im)
 
     def __mul__(self, other):
         if not isinstance(other, Scalar):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = Scalar(other)
-        return Scalar(
+        return _of(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
@@ -76,13 +78,13 @@ class Scalar:
     __rmul__ = __mul__
 
     def conjugate(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
+        return _of(self.re, -self.im)
 
     def inverse(self) -> "Scalar":
         norm = self.re * self.re + self.im * self.im
         if norm == 0:
             raise ZeroDivisionError("inverse of zero scalar")
-        return Scalar(self.re / norm, -self.im / norm)
+        return _of(self.re / norm, -self.im / norm)
 
     def __truediv__(self, other):
         return self * Scalar.coerce(other).inverse()
@@ -120,6 +122,19 @@ class Scalar:
         return f"Scalar({self.literal()})"
 
 
+_set_re = Scalar.re.__set__
+_set_im = Scalar.im.__set__
+
+
+def _of(re: Fraction, im: Fraction) -> Scalar:
+    """The Scalar ``re + im*i`` on two exact Fractions, kept as they are: the
+    trusted constructor for arithmetic, whose Fraction results need no re-wrap."""
+    s = object.__new__(Scalar)
+    _set_re(s, re)
+    _set_im(s, im)
+    return s
+
+
 def _int_text(k: int, what: str = "coefficient") -> str:
     """``str(k)``, or an InputError past the interpreter's limit on digits converted to text."""
     try:
@@ -133,6 +148,9 @@ def _frac_text(q: Fraction) -> str:
         return _int_text(q.numerator)
     return f"{_int_text(q.numerator)}/{_int_text(q.denominator)}"
 
+
+# What an element accepts as a coefficient factor, from either side.
+_SCALAR_TYPES = (int, Fraction, Scalar)
 
 ZERO = Scalar(0)
 ONE = Scalar(1)

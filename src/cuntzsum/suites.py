@@ -793,22 +793,22 @@ _KNOB_RANGES = (
 # of the others takes under 3 %.  The runner hands these out first, so
 # that the last suite any process takes is a short one.
 _HEAVIEST_SUITES = (
-    "parser-roundtrip",       # 30 %
-    "rewriting-termination",  # 14 %
-    "hom-property",           # 9 %
-    "coassociativity",        # 8 %
-    "complement-duality",     # 7 %
-    "factorization",          # 6 %
+    "parser-roundtrip",       # 32 %
+    "rewriting-termination",  # 15 %
+    "complement-duality",     # 9 %
+    "hom-property",           # 8 %
+    "factorization",          # 7 %
+    "coassociativity",        # 6 %
     "classifier-soundness",   # 6 %
-    "counit-laws",            # 4 %
+    "counit-laws",            # 3 %
 )
 
 # Most processes `run_property_suite` splits the suites across, the caller
-# included.  `parser-roundtrip` alone is 30 % of a default run, so no split
-# ends before it does, and three processes already share the other 70 %
+# included.  `parser-roundtrip` alone is 32 % of a default run, so no split
+# ends before it does, and three processes already share the other 68 %
 # in about that time: a fourth cannot help.  Two processes take a default
-# run from 0.71-0.81 s to 0.36-0.46 s in process (seeds 0-5, 2-CPU Xeon),
-# and the bench's `suite-default` batch to about 0.38 s.
+# run from 0.61-0.96 s to 0.40-0.49 s in process (seeds 0-5, 2-CPU Xeon),
+# and the bench's `suite-default` batch to about 0.35 s.
 MAX_SUITE_PROCESSES = 3
 
 # Seconds a stopped worker gets to exit before it is killed.

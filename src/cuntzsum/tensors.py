@@ -12,7 +12,7 @@ antichains, and the legs are then collapsed in turn.
 from __future__ import annotations
 
 from .algebra import AlgebraElement, LinearCombination, _canonical_terms, monomial
-from .scalars import ONE, Scalar
+from .scalars import ONE, Scalar, _SCALAR_TYPES
 
 
 class TensorElement(LinearCombination):
@@ -20,7 +20,7 @@ class TensorElement(LinearCombination):
     _width = 2
 
     def __mul__(self, other):
-        if isinstance(other, (int, Scalar)):
+        if isinstance(other, _SCALAR_TYPES):
             return self.scale(other)
         if not isinstance(other, TensorElement):
             return NotImplemented

@@ -122,6 +122,24 @@ def test_phi_matches_the_letter_by_letter_split_on_every_short_word():
         assert dict(phi(n, m, x).items()) == letter_by_letter_phi(n, m, x), (n, m)
 
 
+@pytest.mark.parametrize("N", [2520, 12612600])
+def test_phi_matches_the_letter_by_letter_split_on_large_components(N):
+    """Every divisor pair (n, m) of N, with (1, N) and (N, 1), on words at the
+    edges of each letter block; a component-1 half is `monomial(1)`."""
+    unit_half = monomial(1)
+    for n, m in bialgebra.divisor_pairs(N):
+        letters = sorted({1, m, min(m + 1, N), N // 2, N - m + 1, N})
+        words = [()] + [(a,) for a in letters] + [(letters[1], letters[-1]), (N, 1, m)]
+        x = AlgebraElement({monomial(N, mu, nu): 1 for mu in words for nu in words})
+        split = dict(phi(n, m, x).items())
+        assert split == letter_by_letter_phi(n, m, x), (n, m)
+        for left, right in split:
+            if n == 1:
+                assert left == unit_half
+            if m == 1:
+                assert right == unit_half
+
+
 class TestDelta:
     def test_divisor_sum_on_generator(self):
         x = generator(4, 1)

@@ -417,6 +417,9 @@ class TestSerialization:
             # only integers and integer fractions, as serialized; `1e5000000` built 10^5000000
             "2 | 1 | - | 1.5 | 0", "2 | 1 | - | 1e3 | 0", "2 | 1 | - | 1_0 | 0",
             "2 | 1 | - | +3 | 0", "2 | 1 | - | 1 | 1e5000000",
+            # components and letters are ASCII digits only, an empty word only `-`
+            "+2 | 0_1 | - | 1 | 0", "２ | 1 | - | 1 | 0", "2 | 0_1 | - | 1 | 0", "2 | +1 | - | 1 | 0",
+            "2 | ١ | - | 1 | 0", "2 | 1, 2 | - | 1 | 0", "2 | 1 | | 1 | 0", "-2 | 1 | - | 1 | 0",
         ],
     )
     def test_bad_field_names_its_line(self, line):

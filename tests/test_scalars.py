@@ -1,10 +1,12 @@
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from conftest import scalars
 from cuntzsum import Scalar, delta, generator, unit
+from cuntzsum.bialgebra import lift_left
 
 
 def test_normalization():
@@ -34,6 +36,15 @@ def test_a_scalar_scales_an_element_from_either_side():
         Scalar(1) * "a"
     with pytest.raises(TypeError):
         "a" * Scalar(1)
+
+
+def test_a_fraction_scales_an_element_from_either_side():
+    x = generator(2, 1) + unit(3).scale(Scalar(0, 1))
+    half = Fraction(1, 2)
+    for value in (x, delta(x)):
+        assert half * value == value * half == value.scale(half) == Scalar(half) * value
+    triple = lift_left(delta, delta(x))
+    assert half * triple == triple.scale(half)
 
 
 def test_inverse():
@@ -87,3 +98,57 @@ def test_equal_scalars_hash_equal(a, b):
         assert hash(a) == hash(b)
     if a.im == 0:
         assert hash(a) == hash(a.re)
+
+
+class FractionSubclass(Fraction):
+    """A Fraction that is not exactly a Fraction, so a Scalar converts it."""
+
+
+_BIG = 10**40
+_PARTS = st.one_of(
+    st.integers(-_BIG, _BIG),
+    st.booleans(),
+    st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(1, _BIG)),
+    st.builds(FractionSubclass, st.integers(-_BIG, _BIG), st.integers(1, _BIG)),
+)
+
+
+def _exact(s):
+    """The parts of ``s``, each checked to be exactly a Fraction."""
+    assert type(s.re) is type(s.im) is Fraction
+    return s.re, s.im
+
+
+@given(_PARTS, _PARTS, _PARTS, _PARTS)
+@settings(max_examples=300)
+def test_arithmetic_matches_pairs_of_fractions(re1, im1, re2, im2):
+    """Every result of Scalar arithmetic holds two exact Fractions, equal to
+    the same arithmetic done on pairs of Fractions."""
+    x, y = Scalar(re1, im1), Scalar(re2, im2)
+    (a, b), (c, d) = _exact(x), _exact(y)
+    assert (a, b, c, d) == tuple(map(Fraction, (re1, im1, re2, im2)))
+    expected = [
+        (x + y, (a + c, b + d)),
+        (x - y, (a - c, b - d)),
+        (x * y, (a * c - b * d, a * d + b * c)),
+        (-x, (-a, -b)),
+        (x.conjugate(), (a, -b)),
+        (x + re2, (a + c, b)),
+        (re2 + x, (a + c, b)),
+        (x - re2, (a - c, b)),
+        (re2 - x, (c - a, -b)),
+        (x * re2, (a * c, b * c)),
+        (re2 * x, (a * c, b * c)),
+    ]
+    norm = c * c + d * d
+    if norm:
+        expected += [
+            (y.inverse(), (c / norm, -d / norm)),
+            (x / y, ((a * c + b * d) / norm, (b * c - a * d) / norm)),
+        ]
+    if c:
+        expected += [(x / re2, (a / c, b / c))]
+    if a or b:
+        expected += [(re2 / x, (c * a / (a * a + b * b), -c * b / (a * a + b * b)))]
+    for result, pair in expected:
+        assert _exact(result) == pair

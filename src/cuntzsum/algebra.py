@@ -195,10 +195,12 @@ class LinearCombination:
             return NotImplemented
         return self + (-other)
 
-    def __rmul__(self, other):
+    def __mul__(self, other):
         if isinstance(other, _SCALAR_TYPES):
             return self.scale(other)
         return NotImplemented
+
+    __rmul__ = __mul__
 
     def _product(self, other):
         key_mul, right = self._key_mul, other._terms.items()

@@ -288,13 +288,8 @@ def run_command(args) -> int:
             max_word_len=args.max_word_len,
             sample_count=args.samples,
         )
-        mutations.disable_all()
-        if args.mutate:
-            mutations.enable(args.mutate)
-        try:
+        with mutations.only(args.mutate):
             report = run_property_suite(cfg)
-        finally:
-            mutations.disable_all()
         if fmt == "machine":
             for r in report.results:
                 print(json.dumps(

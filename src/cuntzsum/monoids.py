@@ -176,7 +176,7 @@ def divisor_pairs(n: int) -> list[tuple[int, int]]:
 
 def divisor_triple_count(n: int) -> int:
     """Number of ordered triples (a, b, c) with abc == n: the product of C(e+2, 2) over n's prime exponents e."""
-    _check_factorable(n, "prime_factorize")
+    _check_factorable(n, "divisor_triple_count")
     count = 1
     for e in Counter(_trial_factors(n)).values():
         count *= (e + 2) * (e + 1) // 2
@@ -369,14 +369,7 @@ class NaturalsMonoid:
     def elements(bound):
         return range(1, bound + 1)
 
-    @staticmethod
-    def factor_pairs(a):
-        """The pairs of ``divisor_pairs(a)``, read from the divisor table up to MAX_BOUND."""
-        if not 1 <= a <= MAX_BOUND:
-            return divisor_pairs(a)
-        divisors = _DIVISORS.covering(a)[a]
-        # the cofactors of increasing divisors are the divisors decreasing
-        return zip(divisors, reversed(divisors))
+    factor_pairs = staticmethod(divisor_pairs)
 
 
 class FreeMonoid:
@@ -493,7 +486,7 @@ def _split_witness(s: int, members: set, outside: int) -> PredicateResult:
     """``(s, b, c)`` for the first divisor pair of s with at least ``outside`` of b, c not in ``members``; holds for s == 0."""
     if not s:
         return _HOLDS
-    for b, c in NaturalsMonoid.factor_pairs(s):
+    for b, c in divisor_pairs(s):
         if (b not in members) + (c not in members) >= outside:
             return PredicateResult(False, (s, b, c))
     raise AssertionError(f"no failing divisor pair of {s}")

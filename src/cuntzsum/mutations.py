@@ -27,10 +27,6 @@ def enable(name: str) -> None:
     _active.set(_active.get() | {name})
 
 
-def disable_all() -> None:
-    _active.set(frozenset())
-
-
 def is_active(name: str) -> bool:
     return name in _active.get()
 
@@ -41,6 +37,19 @@ def enabled(name: str):
     token = _active.set(_active.get())
     try:
         enable(name)
+        yield
+    finally:
+        _active.reset(token)
+
+
+@contextmanager
+def only(name: str | None):
+    """Run the block under ``name``'s switch alone, or under none for None,
+    then restore the switches as they were."""
+    token = _active.set(frozenset())
+    try:
+        if name is not None:
+            enable(name)
         yield
     finally:
         _active.reset(token)

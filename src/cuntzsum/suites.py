@@ -824,11 +824,11 @@ def _run_suite(cfg, name, func):
     failures: list[str] = []
     start = time.perf_counter()
     checks = func(cfg, _rng(cfg, name), failures.append)
-    return name, checks, failures, time.perf_counter() - start
+    return SuiteResult(name, checks, failures, time.perf_counter() - start)
 
 
 def _outcome(cfg, index):
-    """`_run_suite`'s result tuple for the suite at ``index``, or the exception raised."""
+    """`_run_suite`'s result for the suite at ``index``, or the exception raised."""
     try:
         return _run_suite(cfg, *_SUITES[index])
     except Exception as exc:
@@ -868,7 +868,7 @@ def _suite_worker(cfg, tasks, results):
 
     The fork hands it the caller's imported package, suite table and
     mutation switches.  It sends back ``(index, outcome)`` pairs, the
-    outcome being `_run_suite`'s result tuple or the exception raised.
+    outcome being `_run_suite`'s result or the exception raised.
     """
     import signal
 
@@ -879,47 +879,48 @@ def _suite_worker(cfg, tasks, results):
             results.send((index, _outcome(cfg, index)))
 
 
-def _run_split(cfg: SuiteConfig, processes: int) -> list:
-    """The result tuple of every suite in declared order, run by this
-    process and ``processes - 1`` forked workers, heaviest suites first.
+def _run_suites(cfg: SuiteConfig, processes: int) -> list[SuiteResult]:
+    """The result of every suite in declared order, claimed heaviest first
+    from one task pipe by this process and ``processes - 1`` forked workers.
 
-    An exception raised by a suite in any process is re-raised here once
-    every suite is done, the earliest-declared first; a suite that a dead
-    worker never reported raises `RuntimeError`.  No worker outlives the
-    call, whether it returns or raises.
+    With one process nothing is forked and `multiprocessing` is not
+    imported.  An exception raised by a suite in any process is re-raised
+    here once every suite is done, the earliest-declared first; a suite
+    that a dead worker never reported raises `RuntimeError`.  No worker
+    outlives the call, whether it returns or raises.
     """
-    import multiprocessing
-    from multiprocessing.connection import wait
-
-    ctx = multiprocessing.get_context("fork")
     names = tuple(name for name, _ in _SUITES)
     heavy = [names.index(name) for name in _HEAVIEST_SUITES if name in names]
     order = heavy + [index for index in range(len(names)) if index not in heavy]
     outcomes: dict = {}
     workers, readers = [], []
-    tasks, feed = ctx.Pipe(duplex=False)
+    read_end, write_end = os.pipe()
+    tasks = open(read_end, "rb", buffering=0)
     try:
-        with feed:
-            os.write(feed.fileno(), bytes(order))
-        for _ in range(processes - 1):
-            reader, writer = ctx.Pipe(duplex=False)
-            readers.append(reader)
-            with writer:  # once started, the worker holds the only write end
-                worker = ctx.Process(target=_suite_worker, args=(cfg, tasks, writer))
-                worker.start()
-            workers.append(worker)
+        with open(write_end, "wb", buffering=0) as feed:
+            feed.write(bytes(order))
+        if processes > 1:
+            import multiprocessing
+
+            ctx = multiprocessing.get_context("fork")
+            for _ in range(processes - 1):
+                reader, writer = ctx.Pipe(duplex=False)
+                readers.append(reader)
+                with writer:  # once started, the worker holds the only write end
+                    worker = ctx.Process(target=_suite_worker, args=(cfg, tasks, writer))
+                    worker.start()
+                workers.append(worker)
         for index in _claims(tasks):
             outcomes[index] = _outcome(cfg, index)
-        # a worker's pipe reads end-of-file once the worker has exited
-        pending = list(readers)
-        while pending and len(outcomes) < len(names):
-            for reader in wait(pending):
+        # a worker's pipe reads end-of-file once the worker has exited; no
+        # worker waits on another, so reading the pipes in turn cannot stall
+        for reader in readers:
+            while len(outcomes) < len(names):
                 try:
                     index, outcome = reader.recv()
                 except (EOFError, OSError):
-                    pending.remove(reader)
-                else:
-                    outcomes[index] = outcome
+                    break
+                outcomes[index] = outcome
     finally:
         for worker in workers:
             worker.terminate()
@@ -946,7 +947,7 @@ def run_property_suite(cfg: SuiteConfig = SuiteConfig()) -> SuiteReport:
 
     The report lists the suites in declared order, whichever process ran
     them.  With one CPU or one suite, off Linux, or while another thread
-    is alive, no process is started and this process runs every suite.
+    is alive, no process is started and this process claims every suite.
     """
     # every lower limit is checked before any upper one, all before the first suite runs
     for name, least, _ in _KNOB_RANGES:
@@ -957,11 +958,5 @@ def run_property_suite(cfg: SuiteConfig = SuiteConfig()) -> SuiteReport:
         value = getattr(cfg, name)
         if value > most:
             raise InputError(f"suite {name} must be <= {most}, got {value}")
-    report = SuiteReport(cfg)
     processes = min(MAX_SUITE_PROCESSES, _usable_cpus(), len(_SUITES)) if _fork_is_safe() else 1
-    if processes > 1:
-        report.results = [SuiteResult(*outcome) for outcome in _run_split(cfg, processes)]
-        return report
-    for name, func in _SUITES:
-        report.results.append(SuiteResult(*_run_suite(cfg, name, func)))
-    return report
+    return SuiteReport(cfg, _run_suites(cfg, processes))

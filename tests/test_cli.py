@@ -12,7 +12,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from cuntzsum import cli, monoids
+from cuntzsum import cli, monoids, mutations
 from cuntzsum.algebra import MAX_PUSHED_KEYS
 from cuntzsum.classify import classify_component_set
 from cuntzsum.cli import build_parser, main
@@ -426,6 +426,22 @@ class TestDeterminism:
             line.split('"seconds"')[0] for line in text.splitlines()
         ]
         assert strip(out1) == strip(out2)
+
+    @pytest.mark.parametrize("switch", [None, *mutations.ALL_MUTATIONS])
+    def test_suite_runs_under_its_own_switch_and_restores_the_callers(self, capsys, switch):
+        # the caller holds another switch: the run neither sees it nor turns it off
+        held = mutations.DROP_DIVISOR_PAIR if switch == mutations.ONE_IS_PRIME else mutations.ONE_IS_PRIME
+        argv = ["suite", "--seed", "7", "--bound", "120", "--max-component", "8", "--max-word-len", "2",
+                "--samples", "12", "--format", "machine"]
+        if switch:
+            argv += ["--mutate", switch]
+        with mutations.enabled(held):
+            code, out, _ = run(capsys, *argv)
+            assert [name for name in mutations.ALL_MUTATIONS if mutations.is_active(name)] == [held]
+        assert not mutations.is_active(held)
+        reports = [json.loads(line) for line in out.splitlines()[:-1]]
+        failing = [r["suite"] for r in reports if r["failures"]]
+        assert (code, bool(failing)) == ((1, True) if switch else (0, False)), failing
 
     def test_shared_parser_matches_fresh_parsers(self, capsys):
         # main() reuses one parser; good and bad argv in turn must give

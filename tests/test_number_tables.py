@@ -16,7 +16,6 @@ from cuntzsum import monoids
 from cuntzsum.cli import main
 from cuntzsum.monoids import (
     MAX_BOUND,
-    NATURALS_MONOID,
     PrimeSet,
     SubmonoidView,
     divisor_pairs,
@@ -54,6 +53,12 @@ def trial_pairs(n):
     return [(m, n // m) for m in divisors]
 
 
+def table_pairs(n):
+    """The divisor pairs of n <= MAX_BOUND as the window searches read them, from the divisor table."""
+    divisors = monoids._DIVISORS.covering(n)[n]
+    return list(zip(divisors, reversed(divisors)))
+
+
 def assert_matches_trial_division(n):
     factors = trial_factors(n)
     assert prime_factorize(n) == factors, n
@@ -77,7 +82,7 @@ def test_every_small_n_matches_trial_division(empty_divisor_table):
     for n in range(1, 5001):
         assert_matches_trial_division(n)
     for n in range(1, 5001):
-        assert list(NATURALS_MONOID.factor_pairs(n)) == trial_pairs(n) == divisor_pairs(n), n
+        assert table_pairs(n) == trial_pairs(n) == divisor_pairs(n), n
 
 
 @settings(max_examples=300, deadline=None)
@@ -94,14 +99,15 @@ def test_growth_boundaries_and_past_max_bound(empty_divisor_table):
     probes = sorted({n for s in sizes for n in (s - 1, s, s + 1)} | {MAX_BOUND - 1, MAX_BOUND, MAX_BOUND + 1})
     for n in probes:
         assert_matches_trial_division(n)
-        assert list(NATURALS_MONOID.factor_pairs(n)) == trial_pairs(n), n
+        assert divisor_pairs(n) == trial_pairs(n), n
         if n <= MAX_BOUND:
+            assert table_pairs(n) == trial_pairs(n), n
             table = monoids._DIVISORS.covering(n)
             expected_len = min(next(s for s in sizes + [2 * sizes[-1]] if s > n), MAX_BOUND + 1)
             assert len(table) == expected_len, n
     # MAX_BOUND + 1 = 11 * 9091 lies past the table; its divisor pairs come from its factors
     assert prime_factorize(MAX_BOUND + 1) == [11, 9091]
-    assert list(NATURALS_MONOID.factor_pairs(98280)) == trial_pairs(98280)
+    assert table_pairs(98280) == trial_pairs(98280)
     assert len(monoids._DIVISORS.covering(MAX_BOUND)) == MAX_BOUND + 1
 
 
@@ -153,7 +159,7 @@ def test_threads_growing_empty_tables_agree_with_one_thread(empty_divisor_table,
         prime_set, bound = job
         window = window_of(SubmonoidView(prime_set), bound)
         # the divisors of the bound are read from the table, grown to cover it
-        return window, is_factorial(window), list(NATURALS_MONOID.factor_pairs(bound))
+        return window, is_factorial(window), table_pairs(bound)
 
     expected = [result(job) for job in jobs]
     empty_divisor_table()

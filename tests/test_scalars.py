@@ -47,6 +47,14 @@ def test_a_fraction_scales_an_element_from_either_side():
     assert half * triple == triple.scale(half)
 
 
+def test_a_triple_tensor_scales_from_either_side():
+    t = lift_left(delta, delta(generator(2, 1)))
+    for c in (2, Fraction(1, 2), Scalar(0, 1)):
+        assert t * c == c * t == t.scale(c)
+    with pytest.raises(TypeError):
+        t * t
+
+
 def test_inverse():
     a = Scalar(3, 4)
     assert a * a.inverse() == Scalar(1)

@@ -33,9 +33,8 @@ SMALL = SuiteConfig(seed=7, bound=120, max_component=8, max_word_len=2, sample_c
 
 @pytest.fixture(autouse=True)
 def _clean_mutations():
-    mutations.disable_all()
-    yield
-    mutations.disable_all()
+    with mutations.only(None):
+        yield
 
 
 # Golden suite report at SMALL: the check count of every suite, and under
@@ -253,10 +252,13 @@ def test_suite_knob_limits(monkeypatch, knob, limit):
 
 
 # ---------------------------------------------------------------------------
-# The runner across processes.  `_usable_cpus` is the one seam that sets how
-# many processes run the suites.  Workers are forked, so whatever the caller
-# patched before the run, `_SUITES`, `_HEAVIEST_SUITES`, `_claims`,
-# `_run_suite` or a mutation switch, is what its workers run with too.
+# The runner.  One claim loop serves every process count: the caller and
+# any forked workers claim suites, heaviest first, from one task pipe, and
+# with one process the caller claims them all and nothing is forked.
+# `_usable_cpus` is the one seam that sets how many processes run the
+# suites.  Workers are forked, so whatever the caller patched before the
+# run, `_SUITES`, `_HEAVIEST_SUITES`, `_claims`, `_run_suite` or a mutation
+# switch, is what its workers run with too.
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -397,15 +399,16 @@ def test_a_worker_exception_comes_back_and_the_earliest_declared_wins(monkeypatc
     assert multiprocessing.active_children() == []
 
 
-@forks
-def test_an_interrupt_in_the_callers_share_stops_the_workers(monkeypatch):
+@pytest.mark.parametrize("processes", [1, pytest.param(2, marks=forks)])
+def test_an_interrupt_in_the_callers_share_stops_the_workers(monkeypatch, processes):
     def interrupt(cfg, rng, fail):
         raise KeyboardInterrupt
 
-    _force_processes(monkeypatch, 2)
+    _force_processes(monkeypatch, processes)
     monkeypatch.setattr(suites, "_SUITES", (("interrupt", interrupt), ("hang", _hang)))
     monkeypatch.setattr(suites, "_HEAVIEST_SUITES", ())
-    _hold_first_claim(monkeypatch)
+    if processes > 1:
+        _hold_first_claim(monkeypatch)
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         run_property_suite(SMALL)
@@ -459,6 +462,56 @@ def test_a_worker_killed_mid_run_is_reported_and_reaped(monkeypatch):
     assert time.monotonic() - start < 30
 
 
+def test_one_process_claims_heaviest_first_and_reports_in_declared_order(monkeypatch):
+    claimed = []
+    run = suites._run_suite
+
+    def logged(cfg, name, func):
+        claimed.append(name)
+        return run(cfg, name, func)
+
+    _force_processes(monkeypatch, 1)
+    monkeypatch.setattr(os, "fork", None)  # a fork would raise TypeError
+    monkeypatch.setattr(suites, "_run_suite", logged)
+    report = run_property_suite(SMALL)
+    heavy = list(suites._HEAVIEST_SUITES)
+    assert claimed == heavy + [name for name in SUITE_NAMES if name not in heavy]
+    assert [r.name for r in report.results] == list(SUITE_NAMES)
+
+
+def test_one_process_raises_the_earliest_declared_exception_once_every_suite_has_run(monkeypatch):
+    ran = []
+
+    def suite(name, error=None):
+        def run(cfg, rng, fail):
+            ran.append(name)
+            if error:
+                raise error(name)
+            return 1
+        return name, run
+
+    _force_processes(monkeypatch, 1)
+    monkeypatch.setattr(suites, "_SUITES", (suite("first", LookupError), suite("second", ValueError), suite("last")))
+    monkeypatch.setattr(suites, "_HEAVIEST_SUITES", ("second",))
+    with pytest.raises(LookupError, match="^first$"):
+        run_property_suite(SMALL)
+    assert ran == ["second", "first", "last"]
+
+
+@forks
+@pytest.mark.filterwarnings("error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning")
+def test_runs_at_one_two_and_three_processes_leave_no_descriptor_or_child(monkeypatch):
+    # a pipe left for the collector to close warns instead of leaking, so the warning fails the test
+    opened = sorted(os.listdir("/proc/self/fd"))
+    _force_processes(monkeypatch, 1)
+    alone = _outcomes(run_property_suite(SMALL))
+    for processes in (1, 2, 3):
+        _force_processes(monkeypatch, processes)
+        assert _outcomes(run_property_suite(SMALL)) == alone
+        assert sorted(os.listdir("/proc/self/fd")) == opened
+        assert multiprocessing.active_children() == []
+
+
 def test_with_a_second_thread_alive_no_process_starts(monkeypatch):
     _force_processes(monkeypatch, 1)
     alone = _outcomes(run_property_suite(SMALL))
@@ -495,11 +548,12 @@ def test_the_heaviest_suites_are_declared_suites():
 
 
 def test_no_process_starts_without_suites_or_with_a_bad_config(monkeypatch):
-    def refuse(cfg, processes):
-        raise AssertionError("a process was started")
+    def refuse(cfg, name, func):
+        raise AssertionError(f"suite {name} ran")
 
     _force_processes(monkeypatch, 2)
-    monkeypatch.setattr(suites, "_run_split", refuse)
+    monkeypatch.setattr(os, "fork", None)  # a fork would raise TypeError
+    monkeypatch.setattr(suites, "_run_suite", refuse)
     with pytest.raises(InputError):
         run_property_suite(SuiteConfig(sample_count=MAX_SUITE_SAMPLES + 1))
     monkeypatch.setattr(suites, "_SUITES", ())

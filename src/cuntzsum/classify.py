@@ -11,7 +11,8 @@ with the two parts annihilating each other.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from itertools import compress
+from math import isqrt
 from typing import NamedTuple
 
 from .algebra import AlgebraElement, generator, unit
@@ -26,6 +27,7 @@ from .monoids import (
     _check_ideal,
     _check_prime,
     _check_subsemigroup,
+    _member_mask,
     subset_window,
     window_of,
 )
@@ -49,19 +51,19 @@ def classify_component_set(window: SubsetWindow) -> Classification:
     """
     # a SubsetWindow built directly is checked as `subset_window` checks its input
     bound, members = subset_window(*window)
-    members = set(members)
     if not members:
         return Classification("zero", None)
-    if 1 in members:
-        factorial = _check_factorial(NATURALS_MONOID, members, bound)
+    mask = _member_mask(members, bound)
+    if mask[1]:
+        factorial = _check_factorial(NATURALS_MONOID, mask, bound)
         if not factorial.holds:
             return Classification("none", factorial.witness)
-        closed = _check_subsemigroup(NATURALS_MONOID, members, bound)
+        closed = _check_subsemigroup(NATURALS_MONOID, mask, bound)
         if not closed.holds:
             return Classification("none", closed.witness)
         return Classification("subbialgebra", None)
-    ideal = _check_ideal(NATURALS_MONOID, members, bound)
-    prime = _check_prime(NATURALS_MONOID, members, bound)
+    ideal = _check_ideal(NATURALS_MONOID, mask, bound)
+    prime = _check_prime(NATURALS_MONOID, mask, bound)
     if ideal.holds:
         return Classification("biideal" if prime.holds else "ideal_only", None)
     # the prime witness is preferred; it is None when only the ideal search fails
@@ -132,11 +134,28 @@ class LatticeIsoReport(NamedTuple):
         return out
 
 
+def _product_mask(left: bytearray, right: bytearray, bound: int) -> bytearray:
+    """The byte mask of the products in 1..bound of a member of ``left`` and one of ``right``, both byte masks.
+
+    Such a product has a factor up to isqrt(bound): each such member of
+    one side marks its multiples by the other side, with one integer OR.
+    """
+    marked = bytearray(bound + 1)
+    root = isqrt(bound)
+    for mask, other in ((left, right), (right, left)):
+        for a in compress(range(root + 1), mask[:root + 1]):
+            k = bound // a
+            both = int.from_bytes(marked[a::a], "little") | int.from_bytes(other[1:k + 1], "little")
+            marked[a::a] = both.to_bytes(k, "little")
+    return marked
+
+
 def lattice_iso_check(f: PrimeSet, g: PrimeSet, bound: int) -> LatticeIsoReport:
     """Meet, join, inclusion, and separation semantics over components <= bound.
 
     Each submonoid is traced once over the window; the checks compare the
-    member sets, and each witness is the smallest offending component.
+    member sets (the join's as byte masks), and each witness is the
+    smallest offending component.
     """
     wf, wg, wmeet, wjoin = (
         window_of(SubmonoidView(s), bound).members
@@ -148,10 +167,10 @@ def lattice_iso_check(f: PrimeSet, g: PrimeSet, bound: int) -> LatticeIsoReport:
     witness = (min(bad),) if bad else None
     checks.append(LatticeCheck("meet membership = intersection of memberships", witness is None, witness))
 
-    right = sorted(wg)
-    products = {a * b for a in wf for b in right[:bisect_right(right, bound // a)]}
-    bad = wjoin ^ products
-    witness = (min(bad),) if bad else None
+    # the least n where the join's trace and the products differ is the lowest byte set in their XOR
+    products = _product_mask(_member_mask(wf, bound), _member_mask(wg, bound), bound)
+    bad = int.from_bytes(_member_mask(wjoin, bound), "little") ^ int.from_bytes(products, "little")
+    witness = ((bad & -bad).bit_length() >> 3,) if bad else None
     checks.append(LatticeCheck("join membership = products of the two submonoids", witness is None, witness))
 
     witness = None

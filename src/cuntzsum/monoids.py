@@ -5,14 +5,13 @@ Membership in a submonoid generated by a set of primes is decided
 globally through prime factorization; its window trace is sieved
 directly from the primes.  Claims about arbitrary subsets are verified
 exhaustively inside a finite window and reported as such.  Over (N, *)
-each window search works on whole sets, from the smaller of the subset
-and its complement; a free-monoid backend runs the same predicates as
-ordered scans, without commutativity.
+each window search reads a byte mask of the subset with C-level slices;
+a free-monoid backend runs the same predicates as ordered scans, without
+commutativity.
 
 One trial-division loop factors every n up to MAX_FACTOR, for primality,
-membership and the divisor pairs alike.  The (N, *) window searches
-read one shared divisor table, built on first use and grown by doubling
-up to MAX_BOUND.
+membership and the divisor pairs alike.  No number table is kept: each
+window search builds its mask, bound + 1 bytes, per call.
 """
 
 from __future__ import annotations
@@ -20,11 +19,9 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-import threading
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, filterfalse, islice
+from itertools import compress, filterfalse
 from math import isqrt
 from typing import Iterable, NamedTuple
 
@@ -58,14 +55,12 @@ MAX_FACTOR = 10**12
 
 # Largest window bound that `window_of` and `subset_window` accept.  A
 # generated submonoid's trace is sieved, and each (N, *) window search
-# runs one set operation per element of the smaller side, so time and
-# memory grow with the bound: at this bound `lattice` takes about 0.06 s
-# in process with one finite prime set, about 0.2 s with two cofinite
-# ones and about 0.3 s with a list of every prime up to it, and
-# `classify` of a `list:` spec of 20,000 members about 0.3 s, most of it
-# building the divisor table.  Of the commands, only `classify` of a
-# `list:` spec and `suite` build that table, about 20 MB at this bound;
-# it covers 1..MAX_BOUND, and no other number table is kept.
+# reads a byte mask of bound + 1 bytes with slices whose lengths sum to
+# at most about bound * ln(bound), so time and memory grow with the bound: at
+# this bound `lattice` takes about 0.01 s in process with two finite
+# prime sets, about 0.05 s with two cofinite ones and 0.2-0.3 s with a
+# list of every prime up to it, and `classify` of a `list:` spec of
+# 20,000 members about 0.03 s (2-CPU Xeon).
 MAX_BOUND = 10**5
 
 
@@ -98,50 +93,6 @@ def _check_factorable(n: int, caller: str) -> None:
         raise InputError(f"{caller} requires n >= 1, got {n}")
     if n > MAX_FACTOR:
         raise InputError(f"{caller} requires n <= {MAX_FACTOR}, got {n}")
-
-
-class _GrowingTable:
-    """A table indexed by 0 <= n < len(table), built on first use.
-
-    A lookup past the end rebuilds the table at the next power of two
-    above n (capped at MAX_BOUND + 1) under a lock and publishes it with
-    one assignment.  Readers take no lock: each sees a whole table, or
-    the empty one left while a rebuild runs, and then waits on the lock.
-    """
-
-    def __init__(self, build):
-        self._build = build
-        self._table = ()
-        self._lock = threading.Lock()
-
-    def covering(self, n: int):
-        """The current table if it covers n (n <= MAX_BOUND), else a grown one."""
-        table = self._table
-        if n < len(table):
-            return table
-        with self._lock:
-            table = self._table
-            if n >= len(table):
-                size = max(len(table), 64)
-                while size <= n:
-                    size *= 2
-                # drop the old table first, so a rebuild holds one table, not two
-                self._table = table = ()
-                table = self._build(min(size, MAX_BOUND + 1))
-                self._table = table
-        return table
-
-
-def _divisor_lists(size: int) -> list[list[int]]:
-    """divisors[n] lists the divisors of n in increasing order for 1 <= n < size."""
-    divisors = [[] for _ in range(size)]
-    for m in range(1, size):
-        for multiple in divisors[m::m]:
-            multiple.append(m)
-    return divisors
-
-
-_DIVISORS = _GrowingTable(_divisor_lists)
 
 
 @functools.lru_cache(maxsize=64)
@@ -359,7 +310,7 @@ def window_of(view: SubmonoidView, bound: int) -> SubsetWindow:
 
 
 class NaturalsMonoid:
-    """(N, *) within the window {1..bound}; its searches work on whole sets, not on ``op``."""
+    """(N, *) within the window {1..bound}; its searches read a byte mask of the member set, not ``op``."""
 
     max_bound = MAX_BOUND
     unit = 1
@@ -403,11 +354,13 @@ FREE_MONOID_AB = FreeMonoid()
 # nonempty member set inside the window; `_guard` settles the empty and
 # the improper (whole-window) cases before any search runs.
 #
-# Over (N, *) a search works on whole sets.  It decides from the
-# smaller of the member set S and its window complement C, with one
-# C-level set operation per element of that side, and then names the
-# witness of the ordered scan below: the first outer element that
-# fails, and its first failing partner.
+# Over (N, *) a search reads the member set S as one byte mask
+# (`_member_mask`), built once per set and shared by its searches.  It
+# loops in Python only over the elements up to isqrt(bound), or over the
+# primitive ones (those that no smaller one of their kind divides), with
+# a C-level slice, `find` or integer AND for each, and then names the
+# witness of the ordered scan below: the first outer element that fails,
+# and its first failing partner.
 #
 # The free monoid runs that ordered scan with its ``op``, over words in
 # shortlex order (by length, then alphabetically), so each inner loop
@@ -452,120 +405,106 @@ def _check_products(monoid, outer, members: set, bound: int, two_sided: bool) ->
     return _HOLDS
 
 
-def _smaller_complement(members: set, bound: int):
-    """The window complement of ``members``, ascending and lazy, when it is the smaller side; else None."""
-    if 2 * len(members) <= bound:
-        return None
-    return filterfalse(members.__contains__, range(1, bound + 1))
+def _member_mask(members: set, bound: int) -> bytearray:
+    """A member set over (N, *) as its searches read it: byte n is 1 for a member, 0 <= n <= bound."""
+    mask = bytearray(bound + 1)
+    for n in members:
+        mask[n] = 1
+    return mask
 
 
-def _first_member(members: set, candidates) -> int:
-    """The first of ``candidates`` that lies in ``members``, or 0."""
-    return next(filter(members.__contains__, candidates), 0)
+# Translates a byte mask into its window complement's; byte 0 flips as well, so a mask made this
+# way to be searched must clear it.
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
 
 
-def _member_cofactors(c: int, divisors: list, members: set):
-    """c // s for the divisors s of c in ``members``, ascending."""
-    return map(c.__floordiv__, filter(members.__contains__, reversed(divisors)))
+def _first_set_clear(x: bytes, y: bytes) -> int:
+    """1 + the first index where ``x`` is 1 and ``y`` is 0, for 0/1 byte strings of one length; 0 if none."""
+    bits = int.from_bytes(x, "little") & ~int.from_bytes(y, "little")
+    return (bits & -bits).bit_length() + 7 >> 3
 
 
-def _leaves(a: int, ordered: list, members: set, bound: int) -> bool:
-    """Whether a times some member up to bound // a lies outside ``members``."""
-    return not members.issuperset(map(a.__mul__, islice(ordered, bisect_right(ordered, bound // a))))
+def _primitives(mask: bytearray):
+    """The n >= 1 set in ``mask`` that no smaller such n divides, ascending; clears ``mask`` as it goes."""
+    n = mask.find(1, 1)
+    while n > 0:
+        yield n
+        mask[n::n] = bytes((len(mask) - 1) // n)
+        n = mask.find(1, n + 1)
 
 
-def _product_witness(a: int, ordered: list, members: set) -> PredicateResult:
-    """``(a*s, a, s)`` for the first member s with a*s outside ``members``; holds for a == 0."""
-    if not a:
-        return _HOLDS
-    s = next(s for s in ordered if a * s not in members)
-    return PredicateResult(False, (a * s, a, s))
+def _product_witness(outer, mask: bytearray, bound: int) -> PredicateResult:
+    """``(a*s, a, s)`` for the first a in ``outer`` that takes a member s out of ``mask`` within the window, s the least."""
+    for a in outer:
+        s = _first_set_clear(mask[1:bound // a + 1], mask[a::a])
+        if s:
+            return PredicateResult(False, (a * s, a, s))
+    return _HOLDS
 
 
-def _split_witness(s: int, members: set, outside: int) -> PredicateResult:
-    """``(s, b, c)`` for the first divisor pair of s with at least ``outside`` of b, c not in ``members``; holds for s == 0."""
-    if not s:
+def _split_witness(s: int, mask: bytearray, outside: int) -> PredicateResult:
+    """``(s, b, c)`` for the first divisor pair of s with at least ``outside`` of b, c not in ``mask``; holds past the window."""
+    if s >= len(mask):
         return _HOLDS
     for b, c in divisor_pairs(s):
-        if (b not in members) + (c not in members) >= outside:
+        if 2 - mask[b] - mask[c] >= outside:
             return PredicateResult(False, (s, b, c))
     raise AssertionError(f"no failing divisor pair of {s}")
 
 
-def _check_subsemigroup(monoid, members: set, bound: int) -> PredicateResult:
+def _check_subsemigroup(monoid, members, bound: int) -> PredicateResult:
     """First ``(ab, a, b)`` with ``ab`` in the window but not in ``members``."""
     if not isinstance(monoid, NaturalsMonoid):
         return _check_products(monoid, sorted(members, key=_shortlex), members, bound, two_sided=False)
-    ordered = sorted(members)
-    complement = _smaller_complement(members, bound)
-    if complement is None:
-        outer = islice(ordered, bisect_right(ordered, bound // ordered[0]))
-        first = next((a for a in outer if _leaves(a, ordered, members, bound)), 0)
-    else:
-        # S is closed iff no c in C splits into two members; the least left factor of a split fails first
-        divisors = _DIVISORS.covering(bound)
-        first = min(filter(None, (
-            _first_member(members, _member_cofactors(c, divisors[c], members)) for c in complement
-        )), default=0)
-    return _product_witness(first, ordered, members)
+    # a product in the window has a factor up to isqrt(bound), so the first member to fail is there
+    root = isqrt(bound)
+    return _product_witness(compress(range(root + 1), members[:root + 1]), members, bound)
 
 
-def _check_ideal(monoid, members: set, bound: int) -> PredicateResult:
+def _check_ideal(monoid, members, bound: int) -> PredicateResult:
     """First product leaving ``members``: cofactor ``a`` outer, member ``s`` inner."""
     if not isinstance(monoid, NaturalsMonoid):
         return _check_products(monoid, monoid.elements(bound), members, bound, two_sided=True)
-    ordered = sorted(members)
-    complement = _smaller_complement(members, bound)
-    if complement is None:
-        outer = range(1, bound // ordered[0] + 1)
-        first = next((a for a in outer if _leaves(a, ordered, members, bound)), 0)
-    else:
-        # S is an ideal iff C is divisor-closed; c = a*s has its least a at its largest member divisor s
-        divisors = _DIVISORS.covering(bound)
-        first = min(filter(None, (
-            next(_member_cofactors(c, divisors[c], members), 0) for c in complement
-        )), default=0)
-    return _product_witness(first, ordered, members)
+    # S is an ideal iff it holds the multiples of each primitive member (one past bound // 2 has no
+    # other); if not, the least cofactor that takes some member out of S fails first
+    for p in _primitives(bytearray(members)):
+        if 2 * p > bound:
+            break
+        if 0 in members[p::p]:
+            return _product_witness(range(2, bound + 1), members, bound)
+    return _HOLDS
 
 
-def _check_factorial(monoid, members: set, bound: int) -> PredicateResult:
+def _check_factorial(monoid, members, bound: int) -> PredicateResult:
     """First ``(s, b, c)`` with ``s = bc`` in ``members`` but ``b`` or ``c`` outside."""
     if not isinstance(monoid, NaturalsMonoid):
         return _check_splits(monoid, members, lambda b, c: b not in members or c not in members)
-    complement = _smaller_complement(members, bound)
-    if complement is None:
-        divisors = _DIVISORS.covering(bound)
-        first = next((s for s in sorted(members) if not members.issuperset(divisors[s])), 0)
-    else:
-        # S is factorial iff it meets no multiple of C; the least member it meets fails first
-        first = min(filter(None, (
-            _first_member(members, range(c, bound + 1, c)) for c in complement
-        )), default=0)
+    # S is factorial iff it meets no multiple of a primitive element c of its complement C; the least
+    # member it meets fails first, and no c past half of that can lower it
+    first = bound + 1
+    for c in _primitives(members.translate(_FLIP)):
+        if 2 * c >= first:
+            break
+        i = members[c::c].find(1)
+        if i > 0:
+            first = min(first, c * (i + 1))
     return _split_witness(first, members, outside=1)
 
 
-def _check_prime(monoid, members: set, bound: int) -> PredicateResult:
+def _check_prime(monoid, members, bound: int) -> PredicateResult:
     """First ``(s, b, c)`` with ``s = bc`` in ``members`` but ``b`` and ``c`` outside."""
     if not isinstance(monoid, NaturalsMonoid):
         return _check_splits(monoid, members, lambda b, c: b not in members and c not in members)
-    complement = _smaller_complement(members, bound)
-    if complement is None:
-        divisors = _DIVISORS.covering(bound)
-        first = next((s for s in sorted(members) if _splits_outside(s, divisors[s], members)), 0)
-    else:
-        # S is prime iff it meets no product in C*C; the least member it meets fails first
-        ordered = list(complement)
-        first = min(filter(None, (
-            _first_member(members, map(c.__mul__, islice(ordered, i, bisect_right(ordered, bound // c))))
-            for i, c in enumerate(islice(ordered, bisect_right(ordered, isqrt(bound))))
-        )), default=0)
+    # S is prime iff no member is c*d with c <= d both in C; each c's least such product is at its
+    # least d, and no c with c*c past the least product found can lower it
+    first = bound + 1
+    for c in filterfalse(members.__getitem__, range(2, isqrt(bound) + 1)):
+        if c * c >= first:
+            break
+        d = _first_set_clear(members[c * c::c], members[c:bound // c + 1])
+        if d:
+            first = min(first, c * (c + d - 1))
     return _split_witness(first, members, outside=2)
-
-
-def _splits_outside(s: int, divisors: list, members: set) -> bool:
-    """Whether some divisor pair of s has both factors outside ``members``."""
-    outside = set(divisors).difference(members)
-    return not outside.isdisjoint(map(s.__floordiv__, outside))
 
 
 def _check_splits(monoid, members: set, fails) -> PredicateResult:
@@ -577,14 +516,14 @@ def _check_splits(monoid, members: set, fails) -> PredicateResult:
     return _HOLDS
 
 
-def _guard(members: set, window_size: int | None = None) -> PredicateResult | None:
-    """The verdict no search is needed for: empty, or (given the window's size) improper.
+def _guard(size: int, window_size: int | None = None) -> PredicateResult | None:
+    """The verdict no search is needed for a set of ``size`` members: empty, or (given the window's size) improper.
 
-    ``members`` lie in the window, so they fill it when they are as many.
+    The members lie in the window, so they fill it when they are as many.
     """
-    if not members:
+    if not size:
         return PredicateResult(False, ("empty",))
-    if len(members) == window_size:
+    if size == window_size:
         return PredicateResult(False, ("improper",))
     return None
 
@@ -592,8 +531,7 @@ def _guard(members: set, window_size: int | None = None) -> PredicateResult | No
 def _window_verdict(check, window: SubsetWindow, proper: bool) -> PredicateResult:
     # a SubsetWindow built directly is checked as `subset_window` checks its input
     bound, members = subset_window(*window)
-    members = set(members)
-    return _guard(members, bound if proper else None) or check(NATURALS_MONOID, members, bound)
+    return _guard(len(members), bound if proper else None) or check(NATURALS_MONOID, _member_mask(members, bound), bound)
 
 
 def is_subsemigroup(window: SubsetWindow) -> PredicateResult:
@@ -655,8 +593,9 @@ def _and_results(*results: PredicateResult) -> PredicateResult:
     return _HOLDS
 
 
-def _side_verdicts(monoid, members: set, bound: int, window_size: int) -> SideVerdicts:
-    guard = _guard(members, window_size)
+def _side_verdicts(monoid, members, size: int, bound: int, window_size: int) -> SideVerdicts:
+    """The verdicts of a side of ``size`` elements, ``members`` in the searches' form (a byte mask over (N, *))."""
+    guard = _guard(size, window_size)
     if guard is not None:
         # each of the six properties needs a nonempty proper subset
         return SideVerdicts(*[guard] * len(SideVerdicts._fields))
@@ -664,7 +603,8 @@ def _side_verdicts(monoid, members: set, bound: int, window_size: int) -> SideVe
     ideal = _check_ideal(monoid, members, bound)
     prime = _check_prime(monoid, members, bound)
     fact = _check_factorial(monoid, members, bound)
-    unit_in = PredicateResult(monoid.unit in members, None if monoid.unit in members else ("missing unit",))
+    has_unit = members[1] if isinstance(monoid, NaturalsMonoid) else monoid.unit in members
+    unit_in = _HOLDS if has_unit else PredicateResult(False, ("missing unit",))
     return SideVerdicts(
         proper_subsemigroup=sub,
         proper_ideal=ideal,
@@ -684,14 +624,21 @@ def complement_duality_check(window: SubsetWindow, monoid=NATURALS_MONOID) -> Du
     """
     bound = window.bound
     _check_bound(bound, monoid.max_bound)
-    universe = set(monoid.elements(bound))
     members = set(window.members)
-    if not universe.issuperset(members):
-        raise InputError(f"members outside the window of bound {bound}")
-    comp = universe - members
+    if isinstance(monoid, NaturalsMonoid):
+        if members and not 1 <= min(members) <= max(members) <= bound:
+            raise InputError(f"members outside the window of bound {bound}")
+        window_size, found = bound, _member_mask(members, bound)
+        dual_found = found.translate(_FLIP)
+        dual_found[0] = 0
+    else:
+        universe = set(monoid.elements(bound))
+        if not universe.issuperset(members):
+            raise InputError(f"members outside the window of bound {bound}")
+        window_size, found, dual_found = len(universe), members, universe - members
 
-    side = _side_verdicts(monoid, members, bound, len(universe))
-    dual = _side_verdicts(monoid, comp, bound, len(universe))
+    side = _side_verdicts(monoid, found, len(members), bound, window_size)
+    dual = _side_verdicts(monoid, dual_found, window_size - len(members), bound, window_size)
 
     equivalences = (
         ("S proper subsemigroup <=> S^c prime", side.proper_subsemigroup.holds == dual.prime.holds),

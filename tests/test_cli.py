@@ -12,7 +12,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from cuntzsum import cli, monoids, mutations
+from cuntzsum import classify, cli, monoids, mutations
 from cuntzsum.algebra import MAX_PUSHED_KEYS
 from cuntzsum.classify import classify_component_set
 from cuntzsum.cli import build_parser, main
@@ -106,18 +106,19 @@ class TestQueries:
             raise AssertionError("a window search ran")
 
         monkeypatch.setattr(cli, "classify_component_set", refuse)
-        monkeypatch.setattr(monoids, "_divisor_lists", refuse)
-        # the table binds its builder when made, so swap in an empty one on the refusing builder
-        monkeypatch.setattr(monoids, "_DIVISORS", monoids._GrowingTable(monoids._divisor_lists))
+        # the (N, *) searches read a member set through its byte mask, built by one function
+        monkeypatch.setattr(monoids, "_member_mask", refuse)
+        monkeypatch.setattr(classify, "_member_mask", refuse)
         argv = ("classify", "--set", "coprimes:2", "--bound", str(MAX_BOUND))
         assert run(capsys, *argv) == (0, "subbialgebra\nscope: global\n", "")
         assert run(capsys, *argv, "--format", "machine") == (0, "subbialgebra - global\n", "")
 
     def test_large_components_build_no_number_table(self, capsys, monkeypatch):
         def refuse(*args):
-            raise AssertionError("a number table was read")
+            raise AssertionError("a window mask was built")
 
-        monkeypatch.setattr(monoids._GrowingTable, "covering", refuse)
+        monkeypatch.setattr(monoids, "_member_mask", refuse)
+        monkeypatch.setattr(classify, "_member_mask", refuse)
         code, out, err = run(capsys, "delta", "I(99991)")
         assert (code, out, err) == (0, "(I(1)) ⊗ (I(99991)) + (I(99991)) ⊗ (I(1))\n", "")
         assert run(capsys, "coassoc", "I(99991)") == (0, "true\n", "")

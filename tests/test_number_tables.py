@@ -1,7 +1,6 @@
-"""Factorization and the divisor table behind the window predicates,
-against plain trial division: for every small n and a sample up to
-MAX_BOUND, at every growth boundary of the table and past MAX_BOUND, and
-under concurrent growth."""
+"""Factorization and divisor pairs against plain trial division: for
+every small n, a sample up to MAX_BOUND, around each power of two up to
+it and past it; and the window layer run from eight threads at once."""
 
 import sys
 import threading
@@ -13,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuntzsum import monoids
+from cuntzsum.classify import classify_component_set
 from cuntzsum.cli import main
 from cuntzsum.monoids import (
     MAX_BOUND,
@@ -21,8 +21,12 @@ from cuntzsum.monoids import (
     divisor_pairs,
     divisor_triple_count,
     is_factorial,
+    is_ideal,
     is_prime,
+    is_prime_subset,
+    is_subsemigroup,
     prime_factorize,
+    subset_window,
     window_of,
 )
 
@@ -53,12 +57,6 @@ def trial_pairs(n):
     return [(m, n // m) for m in divisors]
 
 
-def table_pairs(n):
-    """The divisor pairs of n <= MAX_BOUND as the window searches read them, from the divisor table."""
-    divisors = monoids._DIVISORS.covering(n)[n]
-    return list(zip(divisors, reversed(divisors)))
-
-
 def assert_matches_trial_division(n):
     factors = trial_factors(n)
     assert prime_factorize(n) == factors, n
@@ -67,22 +65,10 @@ def assert_matches_trial_division(n):
         assert SubmonoidView(prime_set).contains(n) == all(prime_set.contains(p) for p in factors), (n, prime_set)
 
 
-@pytest.fixture
-def empty_divisor_table(monkeypatch):
-    """The divisor table as a fresh process has it: not yet built."""
-
-    def reset():
-        monkeypatch.setattr(monoids, "_DIVISORS", monoids._GrowingTable(monoids._divisor_lists))
-
-    reset()
-    return reset
-
-
-def test_every_small_n_matches_trial_division(empty_divisor_table):
+def test_every_small_n_matches_trial_division():
     for n in range(1, 5001):
         assert_matches_trial_division(n)
-    for n in range(1, 5001):
-        assert table_pairs(n) == trial_pairs(n) == divisor_pairs(n), n
+        assert divisor_pairs(n) == trial_pairs(n), n
 
 
 @settings(max_examples=300, deadline=None)
@@ -91,7 +77,7 @@ def test_factorization_up_to_max_bound_matches_trial_division(n):
     assert_matches_trial_division(n)
 
 
-def test_growth_boundaries_and_past_max_bound(empty_divisor_table):
+def test_powers_of_two_and_past_max_bound():
     sizes, size = [], 64
     while size <= MAX_BOUND:
         sizes.append(size)
@@ -100,22 +86,9 @@ def test_growth_boundaries_and_past_max_bound(empty_divisor_table):
     for n in probes:
         assert_matches_trial_division(n)
         assert divisor_pairs(n) == trial_pairs(n), n
-        if n <= MAX_BOUND:
-            assert table_pairs(n) == trial_pairs(n), n
-            table = monoids._DIVISORS.covering(n)
-            expected_len = min(next(s for s in sizes + [2 * sizes[-1]] if s > n), MAX_BOUND + 1)
-            assert len(table) == expected_len, n
-    # MAX_BOUND + 1 = 11 * 9091 lies past the table; its divisor pairs come from its factors
+    # MAX_BOUND + 1 = 11 * 9091; 98280 has 128 divisors
     assert prime_factorize(MAX_BOUND + 1) == [11, 9091]
-    assert table_pairs(98280) == trial_pairs(98280)
-    assert len(monoids._DIVISORS.covering(MAX_BOUND)) == MAX_BOUND + 1
-
-
-def test_a_covering_table_is_not_rebuilt(empty_divisor_table):
-    table = monoids._DIVISORS.covering(100)
-    assert len(table) == 128
-    assert monoids._DIVISORS.covering(127) is table
-    assert monoids._DIVISORS.covering(5) is table
+    assert divisor_pairs(98280) == trial_pairs(98280)
 
 
 @pytest.mark.parametrize("n", [1, 2, 12, 720720, 963761198400, 999999999989])
@@ -151,24 +124,26 @@ def test_coassoc_trial_divides_each_large_component_once(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("round_", range(4))
-def test_threads_growing_empty_tables_agree_with_one_thread(empty_divisor_table, round_):
+def test_window_layer_from_eight_threads_agrees_with_one_thread(round_):
     bounds = [5000, 37, 1500, 64, 65, 3000, 129, 700]
     jobs = [(prime_set, bound) for prime_set in PRIME_SETS for bound in bounds]
 
     def result(job):
         prime_set, bound = job
         window = window_of(SubmonoidView(prime_set), bound)
-        # the divisors of the bound are read from the table, grown to cover it
-        return window, is_factorial(window), table_pairs(bound)
+        complement = subset_window(bound, set(range(1, bound + 1)) - window.members)
+        return window, [
+            (is_subsemigroup(w), is_ideal(w), is_factorial(w), is_prime_subset(w), classify_component_set(w))
+            for w in (window, complement)
+        ]
 
     expected = [result(job) for job in jobs]
-    empty_divisor_table()
     found = [None] * 8
     errors = []
 
     def worker(k):
         try:
-            # each thread starts at its own offset, so the growth requests interleave
+            # each thread starts at its own offset, so the threads run different jobs at once
             order = list(range(k, len(jobs))) + list(range(k))
             got = {i: result(jobs[i]) for i in order}
             found[k] = [got[i] for i in range(len(jobs))]

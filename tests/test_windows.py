@@ -1,7 +1,8 @@
 """Differential tests of the shared window predicates, the sieved
-submonoid traces and the set-based lattice check against the per-n
-reference loops in `window_reference`, and a check of every search's
-``(product, left, right)`` witness in both monoid backends."""
+submonoid traces and the lattice check against the per-n reference loops
+in `window_reference`, of the byte-mask searches against the former
+two-strategy searches in `window_search_reference`, and a check of every
+search's ``(product, left, right)`` witness in both monoid backends."""
 
 import operator
 from random import Random
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 
 import window_reference as ref
+import window_search_reference as old
 from cuntzsum import (
     FREE_MONOID_AB,
     NaturalsMonoid,
@@ -34,6 +36,7 @@ from cuntzsum.monoids import (
     _check_ideal,
     _check_prime,
     _check_subsemigroup,
+    _member_mask,
 )
 
 PRIMES = (2, 3, 5, 7, 11, 13, 37)
@@ -106,8 +109,10 @@ def test_every_search_witness_is_product_left_right(case):
     monoid, window = case
     members = set(window.members)
     assume(members)  # the searches assume a nonempty member set
+    # over (N, *) the searches read the member set as a byte mask
+    found = _member_mask(members, window.bound) if monoid is NATURALS_MONOID else members
     for search, condition in _WITNESS_CONDITIONS.items():
-        result = search(monoid, members, window.bound)
+        result = search(monoid, found, window.bound)
         if result.holds:
             continue
         p, l, r = result.witness
@@ -151,6 +156,38 @@ def _assert_predicates_match_reference(window):
             assert result == (False, ("improper",))
         else:
             assert result == (witness is None, witness), predicate.__name__
+
+
+@st.composite
+def dense_windows(draw):
+    """A window up to bound 3,000: random at a density from near-empty to near-full,
+    or the multiples or the non-multiples of 2, 3, 6 or 7; with 1 flipped or not."""
+    bound = draw(st.integers(1, 3000))
+    kind = draw(st.sampled_from(("random", "multiples", "non-multiples")))
+    if kind == "random":
+        density = draw(st.sampled_from((0.001, 0.01, 0.1, 0.5, 0.9, 0.99, 0.999)))
+        rng = draw(st.randoms(use_true_random=False))
+        members = {n for n in range(1, bound + 1) if rng.random() < density}
+    else:
+        q = draw(st.sampled_from((2, 3, 6, 7)))
+        members = {n for n in range(1, bound + 1) if (n % q == 0) == (kind == "multiples")}
+    if draw(st.booleans()):
+        members ^= {1}
+    return subset_window(bound, members)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dense_windows())
+def test_searches_match_the_former_two_strategy_searches(window):
+    bound = window.bound
+    complement = frozenset(range(1, bound + 1)) - window.members
+    for w in (window, subset_window(bound, complement)):
+        for predicate in (is_subsemigroup, is_ideal, is_factorial, is_prime_subset):
+            assert predicate(w) == getattr(old, predicate.__name__)(w), predicate.__name__
+        assert classify_component_set(w) == old.classify_component_set(w)
+    report = complement_duality_check(window)
+    assert report.subset == old.side_verdicts(window.members, bound)
+    assert report.complement == old.side_verdicts(complement, bound)
 
 
 @settings(max_examples=150, deadline=None)
@@ -273,5 +310,5 @@ def test_naturals_searches_and_traces_call_no_op_or_contains(monkeypatch):
                 classify_component_set(window)
                 if members:
                     for search in _WITNESS_CONDITIONS:
-                        search(NATURALS_MONOID, set(members), bound)
+                        search(NATURALS_MONOID, _member_mask(members, bound), bound)
     assert calls == []

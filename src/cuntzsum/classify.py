@@ -27,9 +27,9 @@ from .monoids import (
     _check_ideal,
     _check_prime,
     _check_subsemigroup,
-    _member_mask,
-    subset_window,
-    window_of,
+    _or_multiples,
+    _trace_mask,
+    _window_mask,
 )
 
 
@@ -49,11 +49,10 @@ def classify_component_set(window: SubsetWindow) -> Classification:
     Decided by the shared window predicates of `monoids`, whose
     ``(product, left factor, right factor)`` witnesses pass unchanged.
     """
-    # a SubsetWindow built directly is checked as `subset_window` checks its input
-    bound, members = subset_window(*window)
-    if not members:
+    mask = _window_mask(*window)
+    bound = window.bound
+    if 1 not in mask:
         return Classification("zero", None)
-    mask = _member_mask(members, bound)
     if mask[1]:
         factorial = _check_factorial(NATURALS_MONOID, mask, bound)
         if not factorial.holds:
@@ -144,51 +143,40 @@ def _product_mask(left: bytearray, right: bytearray, bound: int) -> bytearray:
     root = isqrt(bound)
     for mask, other in ((left, right), (right, left)):
         for a in compress(range(root + 1), mask[:root + 1]):
-            k = bound // a
-            both = int.from_bytes(marked[a::a], "little") | int.from_bytes(other[1:k + 1], "little")
-            marked[a::a] = both.to_bytes(k, "little")
+            _or_multiples(marked, a, other)
     return marked
 
 
+def _first(bits: int, *label) -> tuple | None:
+    """``(n, *label)`` for the least n whose byte is set in ``bits``, a byte mask read as a little-endian int; None if none is."""
+    return ((bits & -bits).bit_length() >> 3, *label) if bits else None
+
+
 def lattice_iso_check(f: PrimeSet, g: PrimeSet, bound: int) -> LatticeIsoReport:
-    """Meet, join, inclusion, and separation semantics over components <= bound.
+    """Meet, join, inclusion, and separation semantics over components <= bound, on each submonoid's
+    trace as one byte mask read as an integer; each witness is the smallest offending component."""
+    masks = [_trace_mask(s, bound) for s in (f, g, f.intersection(g), f.union(g))]
+    wf, wg, wmeet, wjoin = (int.from_bytes(mask, "little") for mask in masks)
+    products = int.from_bytes(_product_mask(masks[0], masks[1], bound), "little")
 
-    Each submonoid is traced once over the window; the checks compare the
-    member sets (the join's as byte masks), and each witness is the
-    smallest offending component.
-    """
-    wf, wg, wmeet, wjoin = (
-        window_of(SubmonoidView(s), bound).members
-        for s in (f, g, f.intersection(g), f.union(g))
-    )
-    checks = []
+    meet_escapes = wmeet & ~wf
+    escapes = meet_escapes | (wf & ~wjoin)
+    low = escapes & -escapes
+    monotone = _first(low, "meet not inside left factor" if meet_escapes & low else "left factor not inside join")
+    if monotone is None and f.issubset(g):
+        monotone = _first(wf & ~wg, "inclusion violated")
 
-    bad = wmeet ^ (wf & wg)
-    witness = (min(bad),) if bad else None
-    checks.append(LatticeCheck("meet membership = intersection of memberships", witness is None, witness))
-
-    # the least n where the join's trace and the products differ is the lowest byte set in their XOR
-    products = _product_mask(_member_mask(wf, bound), _member_mask(wg, bound), bound)
-    bad = int.from_bytes(_member_mask(wjoin, bound), "little") ^ int.from_bytes(products, "little")
-    witness = ((bad & -bad).bit_length() >> 3,) if bad else None
-    checks.append(LatticeCheck("join membership = products of the two submonoids", witness is None, witness))
-
-    witness = None
-    meet_escapes, left_escapes = wmeet - wf, wf - wjoin
-    if meet_escapes or left_escapes:
-        n = min(meet_escapes | left_escapes)
-        witness = (n, "meet not inside left factor" if n in meet_escapes else "left factor not inside join")
-    elif f.issubset(g) and wf - wg:
-        witness = (min(wf - wg), "inclusion violated")
-    checks.append(LatticeCheck("monotonicity under inclusion", witness is None, witness))
-
-    if f == g:
-        checks.append(LatticeCheck("separation", True, None))
-    else:
+    separated = None
+    if f != g:
         p = f.separating_prime(g)
         # beyond the window, a prime lies in a generated submonoid exactly when it generates
-        in_f, in_g = (p in wf, p in wg) if p <= bound else (f.contains(p), g.contains(p))
-        ok = in_f != in_g
-        checks.append(LatticeCheck("separation", ok, None if ok else (p,)))
+        in_f, in_g = (masks[0][p], masks[1][p]) if p <= bound else (f.contains(p), g.contains(p))
+        separated = None if in_f != in_g else (p,)
 
-    return LatticeIsoReport(tuple(checks), all(c.holds for c in checks))
+    checks = tuple(LatticeCheck(name, witness is None, witness) for name, witness in (
+        ("meet membership = intersection of memberships", _first(wmeet ^ (wf & wg))),
+        ("join membership = products of the two submonoids", _first(wjoin ^ products)),
+        ("monotonicity under inclusion", monotone),
+        ("separation", separated),
+    ))
+    return LatticeIsoReport(checks, all(c.holds for c in checks))

@@ -20,6 +20,7 @@ import functools
 import itertools
 import operator
 from collections import Counter
+from collections.abc import Collection
 from dataclasses import dataclass
 from itertools import compress, filterfalse
 from math import isqrt
@@ -53,13 +54,12 @@ def next_prime_after(n: int) -> int:
 MAX_FACTOR = 10**12
 
 
-# Largest window bound that `window_of` and `subset_window` accept.  A
-# generated submonoid's trace is sieved, and each (N, *) window search
-# reads a byte mask of bound + 1 bytes with slices whose lengths sum to
-# at most about bound * ln(bound), so time and memory grow with the bound: at
-# this bound `lattice` takes about 0.01 s in process with two finite
-# prime sets, about 0.05 s with two cofinite ones and 0.2-0.3 s with a
-# list of every prime up to it, and `classify` of a `list:` spec of
+# Largest window bound that `window_of` and `subset_window` accept.  Every
+# (N, *) window is a byte mask of bound + 1 bytes, read with slices whose
+# lengths sum to at most about bound * ln(bound): at this bound `lattice`
+# takes about 0.004 s in process with two finite prime sets, 0.005 s with
+# two cofinite ones and 0.09-0.14 s with a list of every prime up to it
+# (half of it checking the list), and `classify` of a `list:` spec of
 # 20,000 members about 0.03 s (2-CPU Xeon).
 MAX_BOUND = 10**5
 
@@ -263,46 +263,67 @@ class SubsetWindow(NamedTuple):
     members: frozenset[int]
 
 
-def subset_window(bound: int, members: Iterable[int]) -> SubsetWindow:
+def _window_mask(bound: int, members: Iterable[int]) -> bytearray:
+    """The byte mask of an (N, *) window, byte n 1 for a member: the one check of a window, whose members are what `operator.index` accepts, in 1..bound."""
     _check_bound(bound)
-    members = frozenset(map(int, members))
-    if members and not 1 <= min(members) <= max(members) <= bound:
-        bad = [m for m in members if not 1 <= m <= bound]
-        raise InputError(f"members {sorted(bad)} outside window 1..{bound}")
-    return SubsetWindow(bound, members)
+    members = members if isinstance(members, Collection) else list(members)
+    mask = bytearray(bound + 1)
+    try:
+        # ints inside the window, the usual members, pass on C-level min and max
+        if not members or 1 <= min(members) and max(members) <= bound:
+            for n in members:
+                mask[n] = 1
+            return mask
+    except TypeError:  # a member that is no int
+        pass
+    strays = sorted((m for m in members if not hasattr(type(m), "__index__")), key=repr)
+    if strays:
+        raise InputError(f"members {strays} are not integers")
+    members = list(map(operator.index, members))
+    outside = sorted(n for n in members if not 1 <= n <= bound)
+    if outside:
+        raise InputError(f"members {outside} outside window 1..{bound}")
+    return _window_mask(bound, members)
+
+
+def subset_window(bound: int, members: Iterable[int]) -> SubsetWindow:
+    members = members if isinstance(members, Collection) else list(members)
+    _window_mask(bound, members)
+    # keeps the members' own int objects: new ones would add 2.8 MB to a window of 10^5 members
+    return SubsetWindow(bound, frozenset(map(operator.index, members)))
+
+
+def _or_multiples(mask: bytearray, q: int, factors) -> None:
+    """Set byte q*t of ``mask`` wherever byte t >= 1 of the byte mask ``factors`` is set, q*t within ``mask``."""
+    k = (len(mask) - 1) // q
+    both = int.from_bytes(mask[q::q], "little") | int.from_bytes(factors[1:k + 1], "little")
+    mask[q::q] = both.to_bytes(k, "little")
+
+
+def _trace_mask(prime_set: PrimeSet, bound: int) -> bytearray:
+    """The byte mask of the n in 1..bound whose prime factors all lie in ``prime_set``, sieved from its primes:
+    a cofinite set clears the multiples of each excluded one, a finite set marks each power of each listed one
+    times the trace before it.  A listed 1 (a prime only under the one-is-prime mutation) is skipped."""
+    _check_bound(bound)
+    primes = [p for p in prime_set.primes if 1 < p <= bound]
+    if prime_set.cofinite:
+        mask = bytearray(b"\0" + b"\1" * bound)
+        for q in primes:
+            mask[q::q] = bytes(bound // q)
+        return mask
+    mask = bytearray(bound + 1)
+    mask[1] = 1
+    for p in primes:
+        before, q = mask[:bound // p + 1], p
+        while q <= bound:
+            _or_multiples(mask, q, before)
+            q *= p
+    return mask
 
 
 def window_of(view: SubmonoidView, bound: int) -> SubsetWindow:
-    """The window trace of a generated submonoid: the n in 1..bound whose
-    prime factors all lie in its generator set, sieved from those primes.
-
-    A finite set multiplies out the powers of its primes; a cofinite one
-    keeps the window less the multiples of each excluded prime.  A listed
-    1 (a prime only under the one-is-prime mutation) is no prime factor
-    of any n, so it is skipped.
-    """
-    _check_bound(bound)
-    primes = [p for p in view.generator_set.primes if 1 < p <= bound]
-    if view.generator_set.cofinite:
-        keep = bytearray([1]) * (bound + 1)
-        keep[0] = 0
-        for q in primes:
-            keep[q::q] = bytes(len(range(q, bound + 1, q)))
-        return SubsetWindow(bound, frozenset(compress(range(bound + 1), keep)))
-    members = {1}
-    for p in primes:
-        # the members up to bound // p, read from the shorter of the set and that range,
-        # so a long prime list costs about bound * sum(1/p) lookups, not |primes| * |trace|
-        cap = bound // p
-        if len(members) <= cap:
-            layer = set(filter(cap.__ge__, members))
-        else:
-            layer = set(filter(members.__contains__, range(1, cap + 1)))
-        while layer:
-            layer = set(map(p.__mul__, layer))
-            members |= layer
-            layer = set(filter(cap.__ge__, layer))
-    return SubsetWindow(bound, frozenset(members))
+    """The window trace of a generated submonoid: the n in 1..bound whose prime factors all generate it."""
+    return SubsetWindow(bound, frozenset(compress(range(bound + 1), _trace_mask(view.generator_set, bound))))
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +376,7 @@ FREE_MONOID_AB = FreeMonoid()
 # the improper (whole-window) cases before any search runs.
 #
 # Over (N, *) a search reads the member set S as one byte mask
-# (`_member_mask`), built once per set and shared by its searches.  It
+# (`_window_mask`), built once per set and shared by its searches.  It
 # loops in Python only over the elements up to isqrt(bound), or over the
 # primitive ones (those that no smaller one of their kind divides), with
 # a C-level slice, `find` or integer AND for each, and then names the
@@ -403,14 +424,6 @@ def _check_products(monoid, outer, members: set, bound: int, two_sided: bool) ->
                 if prod not in members:
                     return PredicateResult(False, (prod, s, a))
     return _HOLDS
-
-
-def _member_mask(members: set, bound: int) -> bytearray:
-    """A member set over (N, *) as its searches read it: byte n is 1 for a member, 0 <= n <= bound."""
-    mask = bytearray(bound + 1)
-    for n in members:
-        mask[n] = 1
-    return mask
 
 
 # Translates a byte mask into its window complement's; byte 0 flips as well, so a mask made this
@@ -529,9 +542,8 @@ def _guard(size: int, window_size: int | None = None) -> PredicateResult | None:
 
 
 def _window_verdict(check, window: SubsetWindow, proper: bool) -> PredicateResult:
-    # a SubsetWindow built directly is checked as `subset_window` checks its input
-    bound, members = subset_window(*window)
-    return _guard(len(members), bound if proper else None) or check(NATURALS_MONOID, _member_mask(members, bound), bound)
+    mask = _window_mask(*window)
+    return _guard(mask.count(1), window.bound if proper else None) or check(NATURALS_MONOID, mask, window.bound)
 
 
 def is_subsemigroup(window: SubsetWindow) -> PredicateResult:
@@ -623,22 +635,21 @@ def complement_duality_check(window: SubsetWindow, monoid=NATURALS_MONOID) -> Du
     ``SubsetWindow(bound, frozenset(words))`` and ``FREE_MONOID_AB``.
     """
     bound = window.bound
-    _check_bound(bound, monoid.max_bound)
-    members = set(window.members)
     if isinstance(monoid, NaturalsMonoid):
-        if members and not 1 <= min(members) <= max(members) <= bound:
-            raise InputError(f"members outside the window of bound {bound}")
-        window_size, found = bound, _member_mask(members, bound)
+        found = _window_mask(*window)
+        size, window_size = found.count(1), bound
         dual_found = found.translate(_FLIP)
         dual_found[0] = 0
     else:
+        _check_bound(bound, monoid.max_bound)
+        found = set(window.members)
         universe = set(monoid.elements(bound))
-        if not universe.issuperset(members):
+        if not universe.issuperset(found):
             raise InputError(f"members outside the window of bound {bound}")
-        window_size, found, dual_found = len(universe), members, universe - members
+        size, window_size, dual_found = len(found), len(universe), universe - found
 
-    side = _side_verdicts(monoid, found, len(members), bound, window_size)
-    dual = _side_verdicts(monoid, dual_found, window_size - len(members), bound, window_size)
+    side = _side_verdicts(monoid, found, size, bound, window_size)
+    dual = _side_verdicts(monoid, dual_found, window_size - size, bound, window_size)
 
     equivalences = (
         ("S proper subsemigroup <=> S^c prime", side.proper_subsemigroup.holds == dual.prime.holds),

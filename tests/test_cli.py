@@ -106,9 +106,11 @@ class TestQueries:
             raise AssertionError("a window search ran")
 
         monkeypatch.setattr(cli, "classify_component_set", refuse)
-        # the (N, *) searches read a member set through its byte mask, built by one function
-        monkeypatch.setattr(monoids, "_member_mask", refuse)
-        monkeypatch.setattr(classify, "_member_mask", refuse)
+        # the (N, *) searches read a window through its byte mask, built by one function, and a
+        # trace is sieved by another
+        for module in (monoids, classify):
+            monkeypatch.setattr(module, "_window_mask", refuse)
+            monkeypatch.setattr(module, "_trace_mask", refuse)
         argv = ("classify", "--set", "coprimes:2", "--bound", str(MAX_BOUND))
         assert run(capsys, *argv) == (0, "subbialgebra\nscope: global\n", "")
         assert run(capsys, *argv, "--format", "machine") == (0, "subbialgebra - global\n", "")
@@ -117,8 +119,9 @@ class TestQueries:
         def refuse(*args):
             raise AssertionError("a window mask was built")
 
-        monkeypatch.setattr(monoids, "_member_mask", refuse)
-        monkeypatch.setattr(classify, "_member_mask", refuse)
+        for module in (monoids, classify):
+            monkeypatch.setattr(module, "_window_mask", refuse)
+            monkeypatch.setattr(module, "_trace_mask", refuse)
         code, out, err = run(capsys, "delta", "I(99991)")
         assert (code, out, err) == (0, "(I(1)) ⊗ (I(99991)) + (I(99991)) ⊗ (I(1))\n", "")
         assert run(capsys, "coassoc", "I(99991)") == (0, "true\n", "")

@@ -9,6 +9,7 @@ from cuntzsum import (
     PrimeSet,
     SubmonoidView,
     SubsetWindow,
+    classify_component_set,
     complement_duality_check,
     divisor_pairs,
     is_factorial,
@@ -23,6 +24,16 @@ from cuntzsum import (
 )
 from cuntzsum import monoids
 from cuntzsum.monoids import MAX_BOUND, MAX_WORD_LENGTH, NATURALS_MONOID, PredicateResult, _check_ideal, next_prime_after
+
+# Every entry that takes an (N, *) window as a bound and its members.
+WINDOW_ENTRIES = {
+    "subset_window": subset_window,
+    **{
+        func.__name__: lambda bound, members, func=func: func(SubsetWindow(bound, members))
+        for func in (is_subsemigroup, is_ideal, is_factorial, is_prime_subset,
+                     classify_component_set, complement_duality_check)
+    },
+}
 
 
 class TestFactorization:
@@ -216,12 +227,35 @@ class TestWindowPredicates:
         with pytest.raises(InputError, match=message):
             predicate(SubsetWindow(bound, frozenset(members)))
 
+    @pytest.mark.parametrize("entry", WINDOW_ENTRIES)
+    @pytest.mark.parametrize(
+        "members", [frozenset({2.5}), frozenset({2, "4"}), frozenset({None, 3}), [2.5, "3", True]],
+        ids=["float", "str", "None", "mixed-list"],
+    )
+    def test_non_integer_members_rejected(self, entry, members):
+        with pytest.raises(InputError, match="are not integers$"):
+            WINDOW_ENTRIES[entry](10, members)
+
+    @pytest.mark.parametrize("entry", WINDOW_ENTRIES)
+    def test_members_are_what_operator_index_accepts_each_counted_once(self, entry):
+        call = WINDOW_ENTRIES[entry]
+        with pytest.raises(InputError, match=r"^members \['3', 2\.5\] are not integers$"):
+            call(10, [2.5, "3", True])
+        # a repeated member is one member, so {1, 2} in 1..3 is proper; True is the integer 1
+        assert call(3, [1, 1, 2]) == call(3, [True, 2]) == call(3, frozenset({1, 2}))
+
+    def test_a_repeated_member_leaves_the_set_proper(self):
+        # three members listed in a window of three, but only two distinct: not ("improper",)
+        assert is_factorial(SubsetWindow(3, [1, 1, 2])) == PredicateResult(True, None)
+
 
 class TestComplementDuality:
     def test_members_outside_the_window_rejected(self):
-        for monoid, members, bound in ((NATURALS_MONOID, {2, 2000}, 10), (FREE_MONOID_AB, {"aaa"}, 2)):
-            with pytest.raises(InputError, match="outside the window"):
-                complement_duality_check(SubsetWindow(bound, frozenset(members)), monoid)
+        # over (N, *) the window's members pass the same check as in `subset_window`
+        with pytest.raises(InputError, match=r"^members \[2000\] outside window 1\.\.10$"):
+            complement_duality_check(SubsetWindow(10, frozenset({2, 2000})))
+        with pytest.raises(InputError, match="outside the window"):
+            complement_duality_check(SubsetWindow(2, frozenset({"aaa"})), FREE_MONOID_AB)
         with pytest.raises(InputError, match="window bound"):
             complement_duality_check(SubsetWindow(MAX_BOUND + 1, frozenset({2})))
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuntzsum import monoids
-from cuntzsum.classify import classify_component_set
+from cuntzsum.classify import classify_component_set, lattice_iso_check
 from cuntzsum.cli import main
 from cuntzsum.monoids import (
     MAX_BOUND,
@@ -126,13 +126,15 @@ def test_coassoc_trial_divides_each_large_component_once(capsys, monkeypatch):
 @pytest.mark.parametrize("round_", range(4))
 def test_window_layer_from_eight_threads_agrees_with_one_thread(round_):
     bounds = [5000, 37, 1500, 64, 65, 3000, 129, 700]
-    jobs = [(prime_set, bound) for prime_set in PRIME_SETS for bound in bounds]
+    # each prime set is paired with the next for the lattice check
+    pairs = zip(PRIME_SETS, PRIME_SETS[1:] + PRIME_SETS[:1])
+    jobs = [(prime_set, other, bound) for prime_set, other in pairs for bound in bounds]
 
     def result(job):
-        prime_set, bound = job
+        prime_set, other, bound = job
         window = window_of(SubmonoidView(prime_set), bound)
         complement = subset_window(bound, set(range(1, bound + 1)) - window.members)
-        return window, [
+        return window, lattice_iso_check(prime_set, other, bound), [
             (is_subsemigroup(w), is_ideal(w), is_factorial(w), is_prime_subset(w), classify_component_set(w))
             for w in (window, complement)
         ]

@@ -4,6 +4,8 @@ in `window_reference`, of the byte-mask searches against the former
 two-strategy searches in `window_search_reference`, and a check of every
 search's ``(product, left, right)`` witness in both monoid backends."""
 
+import functools
+import itertools
 import operator
 from random import Random
 
@@ -31,12 +33,14 @@ from cuntzsum import (
     window_of,
 )
 from cuntzsum.monoids import (
+    MAX_BOUND,
     NATURALS_MONOID,
     _check_factorial,
     _check_ideal,
     _check_prime,
     _check_subsemigroup,
-    _member_mask,
+    _window_mask,
+    primes_up_to,
 )
 
 PRIMES = (2, 3, 5, 7, 11, 13, 37)
@@ -110,7 +114,7 @@ def test_every_search_witness_is_product_left_right(case):
     members = set(window.members)
     assume(members)  # the searches assume a nonempty member set
     # over (N, *) the searches read the member set as a byte mask
-    found = _member_mask(members, window.bound) if monoid is NATURALS_MONOID else members
+    found = _window_mask(*window) if monoid is NATURALS_MONOID else members
     for search, condition in _WITNESS_CONDITIONS.items():
         result = search(monoid, found, window.bound)
         if result.holds:
@@ -196,10 +200,57 @@ def test_lattice_check_matches_reference(f, g, bound):
     assert lattice_iso_check(f, g, bound) == ref.lattice_iso_check(f, g, bound)
 
 
+# Finite, cofinite, empty and all-primes sets, built on first use: the list of every prime up to
+# MAX_BOUND takes about half a second.
+FIXED_SETS = {
+    "primes:2": lambda: PrimeSet.finite([2]),
+    "primes:2,3,5,7": lambda: PrimeSet.finite([2, 3, 5, 7]),
+    "every prime up to MAX_BOUND": lambda: PrimeSet.finite(primes_up_to(MAX_BOUND)),
+    "coprimes:2": lambda: PrimeSet.excluding([2]),
+    "coprimes:2,3": lambda: PrimeSet.excluding([2, 3]),
+    "all primes": PrimeSet.all_primes,
+    "empty": lambda: PrimeSet.finite([]),
+}
+
+
+@functools.cache
+def fixed_set(name):
+    return FIXED_SETS[name]()
+
+
+# the traces are byte masks read as integers, so the bounds straddle a byte's range of values;
+# at 4096, where the reference takes about 0.15 s a pair, each unordered pair is checked once
+@pytest.mark.parametrize("bound", [255, 256, 257, 4096])
+def test_lattice_check_matches_reference_on_fixed_pairs(bound):
+    sets = list(map(fixed_set, FIXED_SETS))
+    pairs = itertools.product(sets, repeat=2) if bound < 4096 else itertools.combinations_with_replacement(sets, 2)
+    for f, g in pairs:
+        assert lattice_iso_check(f, g, bound) == ref.lattice_iso_check(f, g, bound), (f, g)
+
+
+# the reference takes about 6.5 s a pair at MAX_BOUND (2-CPU Xeon), so two pairs stand for the rest
+@pytest.mark.parametrize("f, g", [("every prime up to MAX_BOUND", "primes:2"), ("primes:2,3,5,7", "coprimes:2")])
+def test_lattice_check_matches_reference_at_max_bound(f, g):
+    f, g = fixed_set(f), fixed_set(g)
+    assert lattice_iso_check(f, g, MAX_BOUND) == ref.lattice_iso_check(f, g, MAX_BOUND)
+
+
 def _random_pairs(count=12):
     rng = Random(4)
     draw = lambda: PrimeSet(rng.sample(PRIMES, rng.randint(0, 3)), cofinite=rng.random() < 0.3)
     return [(draw(), draw(), rng.randint(1, 120)) for _ in range(count)]
+
+
+# generators past 255, so that some witnesses lie past the first byte's range of values
+_PAST_ONE_BYTE = [
+    (f, g, bound)
+    for f, g in [
+        (PrimeSet.finite([257]), PrimeSet.finite([263])),
+        (PrimeSet.finite([2, 263]), PrimeSet.excluding([2, 3])),
+        (PrimeSet.excluding([3]), PrimeSet.finite([251, 257])),
+    ]
+    for bound in (256, 257, 600)
+]
 
 
 _union, _intersection = PrimeSet.union, PrimeSet.intersection
@@ -223,11 +274,39 @@ def test_broken_lattice_reports_match_reference(monkeypatch, name):
     attr, broken = SABOTAGE[name]
     monkeypatch.setattr(PrimeSet, attr, broken)
     failing = 0
-    for f, g, bound in _random_pairs():
+    for f, g, bound in _random_pairs() + _PAST_ONE_BYTE:
         report = lattice_iso_check(f, g, bound)
         assert report == ref.lattice_iso_check(f, g, bound), (f, g, bound)
         failing += not report.consistent
     assert failing, "the sabotage broke no check, so the comparison shows nothing"
+
+
+def test_broken_lattice_witnesses_reach_past_one_byte(monkeypatch):
+    monkeypatch.setattr(PrimeSet, "intersection", SABOTAGE["meet is the join"][1])
+    report = lattice_iso_check(PrimeSet.finite([257]), PrimeSet.finite([263]), 300)
+    assert report == ref.lattice_iso_check(PrimeSet.finite([257]), PrimeSet.finite([263]), 300)
+    assert report.checks[0].witness == (257,)
+
+
+@pytest.mark.parametrize("f, g", [([2], [3]), ([3], [2]), ([2, 3], [5]), ([5], [2, 7])])
+def test_broken_lattice_names_the_lower_of_two_escapes(monkeypatch, f, g):
+    # the meet is the right factor and the join the true meet, so both inclusions of the
+    # monotonicity check fail, and the one at the smaller component must be named
+    monkeypatch.setattr(PrimeSet, "intersection", SABOTAGE["meet is the right factor"][1])
+    monkeypatch.setattr(PrimeSet, "union", _intersection)
+    f, g = PrimeSet.finite(f), PrimeSet.finite(g)
+    report = lattice_iso_check(f, g, 60)
+    assert report == ref.lattice_iso_check(f, g, 60)
+    assert report.checks[2].witness is not None
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3])
+def test_lattice_separation_by_a_listed_unit_matches_reference(bound):
+    # only the one-is-prime mutation lets 1 into a prime set; it lies in every trace
+    with mutations.enabled(mutations.ONE_IS_PRIME):
+        f, g = PrimeSet([1, 2]), PrimeSet([2])
+        assert f.separating_prime(g) == 1
+        assert lattice_iso_check(f, g, bound) == ref.lattice_iso_check(f, g, bound)
 
 
 def test_lattice_check_traces_each_submonoid_once(monkeypatch):
@@ -271,6 +350,12 @@ def test_sieved_trace_matches_reference(case):
     assert window_of(SubmonoidView(prime_set), bound).members == _reference_trace(prime_set, bound)
 
 
+@pytest.mark.parametrize("name", FIXED_SETS)
+def test_sieved_trace_matches_reference_at_max_bound(name):
+    prime_set = fixed_set(name)
+    assert window_of(SubmonoidView(prime_set), MAX_BOUND).members == _reference_trace(prime_set, MAX_BOUND)
+
+
 @pytest.mark.parametrize("primes", [[1], [1, 2], [1, 3, 7]])
 @pytest.mark.parametrize("cofinite", [False, True])
 def test_sieved_trace_skips_a_listed_unit(primes, cofinite):
@@ -310,5 +395,5 @@ def test_naturals_searches_and_traces_call_no_op_or_contains(monkeypatch):
                 classify_component_set(window)
                 if members:
                     for search in _WITNESS_CONDITIONS:
-                        search(NATURALS_MONOID, _member_mask(members, bound), bound)
+                        search(NATURALS_MONOID, _window_mask(bound, members), bound)
     assert calls == []

@@ -15,7 +15,10 @@ serves both comultiplications.  Coassociativity is the splitting axiom
 (`wcs`) at each ordered divisor triple of each component in turn; the
 first split of either side depends on one divisor pair only, so it is
 made once per pair (`_first_splits`) and shared by every triple through
-it.  `lift_left` and `lift_right` build the whole triple tensors, as a
+it.  The two sides of a triple are built as term lists in that memo's
+order and are equal term for term, the letter split being associative;
+only lists that differ are compared as maps (`_splittings_agree`).
+`lift_left` and `lift_right` build the whole triple tensors, as a
 reference.
 """
 
@@ -39,20 +42,24 @@ from .monoids import MAX_DIVISOR_TRIPLES, divisor_pairs, divisor_triple_count
 
 
 I_1 = CuntzMonomial(1, (), ())
+_tuple_new = tuple.__new__
 
 
 def _split_monomial(mono: CuntzMonomial, n: int, m: int) -> tuple[CuntzMonomial, CuntzMonomial]:
     """The halves of ``mono`` in components n and m, letter a going to i and j with a - 1 =
     m*(i - 1) + (j - 1), the single source of truth for phi; a component-1 half keeps no letters:
-    `I_1`, and the other half is then ``mono`` itself."""
+    `I_1`, and the other half is then ``mono`` itself.  The halves are built by
+    ``tuple.__new__``, which skips `CuntzMonomial`'s Python-level constructor: the letters
+    are in range by construction."""
     if n == 1:
         return I_1, mono
     if m == 1:
         return mono, I_1
-    mu, nu = mono.mu, mono.nu
-    left = CuntzMonomial(n, tuple((a - 1) // m + 1 for a in mu), tuple((a - 1) // m + 1 for a in nu))
-    right = CuntzMonomial(m, tuple((a - 1) % m + 1 for a in mu), tuple((a - 1) % m + 1 for a in nu))
-    return left, right
+    _, mu, nu = mono
+    return (
+        _tuple_new(CuntzMonomial, (n, tuple([(a - 1) // m + 1 for a in mu]), tuple([(a - 1) // m + 1 for a in nu]))),
+        _tuple_new(CuntzMonomial, (m, tuple([(a - 1) % m + 1 for a in mu]), tuple([(a - 1) % m + 1 for a in nu]))),
+    )
 
 
 def _split_leg(items, pos: int, n: int, m: int) -> dict:
@@ -171,12 +178,17 @@ def _splittings_agree(first, a: int, b: int, c: int, left=True, right=True) -> b
     """``(phi(a,b) (x) id) phi(ab,c)`` equals ``(id (x) phi(b,c)) phi(a,bc)`` on the
     items whose first splits ``first(p, q)`` returns (see `_first_splits`).
 
-    A side that is off counts as zero.  Two sides that are on agree key
-    for key, since the mixed-radix letter split is associative, so only
-    a side against zero is pushed down.
+    A side that is off counts as zero.  Each side is built as a term
+    list in the order of the items; two sides that are on are equal
+    term for term, since the mixed-radix letter split is associative.
+    Lists that differ are compared as maps, and a side against zero is
+    pushed down.
     """
-    lhs = _split_leg(first(a * b, c).items(), 0, a, b) if left else {}
-    rhs = _split_leg(first(a, b * c).items(), 1, b, c) if right else {}
+    lhs = [(_split_monomial(l, a, b) + (r,), k) for (l, r), k in first(a * b, c).items()] if left else []
+    rhs = [((l,) + _split_monomial(r, b, c), k) for (l, r), k in first(a, b * c).items()] if right else []
+    if lhs == rhs:
+        return True
+    lhs, rhs = dict(lhs), dict(rhs)
     return lhs == rhs or TripleTensorElement._raw(lhs).equals(TripleTensorElement._raw(rhs))
 
 

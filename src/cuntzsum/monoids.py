@@ -68,10 +68,10 @@ MAX_BOUND = 10**5
 # over the terms of an element (n the term's component), that the
 # coassociativity check accepts.  It splits each term once per divisor
 # pair and then once per triple on each side: as a `coassoc` command in
-# a fresh process, with the same start-up (about 0.17 s), I(720720), with
-# 7,290, takes about 0.23 s and I(12612600), with 19,440, about 0.39 s
-# (2-CPU Xeon); I(963761198400), with 1,837,080, would take about 35 s
-# at the same rate per triple.
+# a fresh process, with a start-up of about 0.10 s, I(720720), with
+# 7,290, takes about 0.14 s and I(12612600), with 19,440, about 0.22 s
+# (median of 9, 2-CPU Xeon); I(963761198400), with 1,837,080, would take
+# about 12 s at the same rate per triple.
 MAX_DIVISOR_TRIPLES = 20_000
 
 

@@ -1,3 +1,4 @@
+import functools
 from collections import Counter
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from conftest import elements, scalars
 from cuntzsum import (
     AlgebraElement,
+    CuntzMonomial,
     InputError,
     PowerSubmonoid,
     NATURALS,
@@ -86,17 +88,20 @@ class TestPhi:
 PHI_PAIRS = [(n, m) for n in range(1, 25) for m in range(1, 24 // n + 1)]
 
 
+def mixed_radix_halves(mono, n, m):
+    """The halves of ``mono`` in components (n, m), built by splitting each letter,
+    a - 1 = m*(i - 1) + (j - 1), and validating each half through `monomial`,
+    which collapses component 1."""
+    mu = [divmod(a - 1, m) for a in mono.mu]
+    nu = [divmod(a - 1, m) for a in mono.nu]
+    left = monomial(n, [q + 1 for q, _ in mu], [q + 1 for q, _ in nu])
+    right = monomial(m, [r + 1 for _, r in mu], [r + 1 for _, r in nu])
+    return left, right
+
+
 def letter_by_letter_phi(n, m, x):
-    """phi's term map built by splitting each letter, a - 1 = m*(i - 1) + (j - 1),
-    and validating each half through `monomial`, which collapses component 1."""
-    data = {}
-    for mono, c in x.items():
-        mu = [divmod(a - 1, m) for a in mono.mu]
-        nu = [divmod(a - 1, m) for a in mono.nu]
-        left = monomial(n, [q + 1 for q, _ in mu], [q + 1 for q, _ in nu])
-        right = monomial(m, [r + 1 for _, r in mu], [r + 1 for _, r in nu])
-        data[(left, right)] = c
-    return data
+    """phi's term map built from `mixed_radix_halves`."""
+    return {mixed_radix_halves(mono, n, m): c for mono, c in x.items()}
 
 
 @st.composite
@@ -120,6 +125,47 @@ def test_phi_matches_the_letter_by_letter_split_on_every_short_word():
         words = [()] + [(a,) for a in letters] + [(a, b) for a in letters for b in (1, m, n * m)]
         x = AlgebraElement({monomial(n * m, mu, nu): 1 for mu in words for nu in words[: n * m + 1]})
         assert dict(phi(n, m, x).items()) == letter_by_letter_phi(n, m, x), (n, m)
+
+
+def assert_splits_like_the_oracle(mono, n, m):
+    """`_split_monomial` builds its halves without the `CuntzMonomial`
+    constructor, so each must be exactly a `CuntzMonomial` of ints too."""
+    halves = bialgebra._split_monomial(mono, n, m)
+    assert halves == mixed_radix_halves(mono, n, m), (mono, n, m)
+    for half in halves:
+        assert type(half) is CuntzMonomial
+        assert type(half.mu) is tuple and type(half.nu) is tuple
+        assert all(type(v) is int for v in (half.n, *half.mu, *half.nu)), half
+
+
+def test_split_kernel_matches_the_oracle_on_every_short_word():
+    """Every (n, m) with n*m <= 36; every word of length at most 2 as mu
+    and as nu, beside the empty word, its reverse and itself."""
+    for n, m in [(n, m) for n in range(1, 37) for m in range(1, 36 // n + 1)]:
+        letters = range(1, n * m + 1)
+        words = [()] + [(a,) for a in letters] + [(a, b) for a in letters for b in letters]
+        for w in words:
+            for mu, nu in ((w, ()), ((), w), (w, w[::-1]), (w, w)):
+                assert_splits_like_the_oracle(monomial(n * m, mu, nu), n, m)
+
+
+@st.composite
+def large_splits(draw):
+    """A component n*m up to 10^12, either factor possibly 1, and a monomial
+    whose letters favour the edges of the letter blocks."""
+    factor = st.one_of(st.just(1), st.integers(1, 10**6))
+    n, m = draw(factor), draw(factor)
+    N = n * m
+    letter = st.one_of(st.integers(1, N), st.sampled_from([1, m, min(m + 1, N), N - m + 1, N]))
+    word = st.lists(letter, max_size=3).map(tuple)
+    return draw(word), draw(word), n, m
+
+
+@given(large_splits())
+@settings(max_examples=300, deadline=None)
+def test_split_kernel_matches_the_oracle_on_large_components(case):
+    mu, nu, n, m = case
+    assert_splits_like_the_oracle(monomial(n * m, mu, nu), n, m)
 
 
 @pytest.mark.parametrize("N", [2520, 12612600])
@@ -360,6 +406,42 @@ class TestCoassociativity:
         assert check_coassociativity(x)
         triples, pairs = bialgebra.divisor_triple_count(n), len(bialgebra.divisor_pairs(n))
         assert len(calls) == splits == len(x.items()) * (2 * triples + pairs)
+
+
+def test_reordered_first_splits_agree_through_the_maps():
+    """The right side's first split in reverse term order: its term list
+    differs from the left side's, so the two are compared as maps."""
+    x = parse_element("s(12,4) + s(12,7)^* + [1/2] s(12,11)*s(12,2)^*")
+    first = bialgebra._first_splits(list(x._leg_items()))
+
+    def reordered(p, q, scale=1):
+        split = first(p, q)
+        if (p, q) != (2, 6):
+            return split
+        return {key: c * scale for key, c in reversed(split.items())}
+
+    assert list(reordered(2, 6)) != list(first(2, 6))
+    assert bialgebra._splittings_agree(reordered, 2, 2, 3)
+    assert not bialgebra._splittings_agree(functools.partial(reordered, scale=2), 2, 2, 3)
+
+
+def test_a_one_sided_mis_split_fails_both_checks(monkeypatch):
+    """Letter 2 of component 4 split into (2, 2) with its halves swapped: of
+    s(12,4) only the left side of (2, 2, 3) splits it, of s(12,2) only the
+    right side of (3, 2, 2)."""
+    x, y = generator(12, 4), generator(12, 2)
+    assert check_coassociativity(x) and check_coassociativity(y)
+    assert check_wcs_axiom(2, 2, 3, x) and check_wcs_axiom(3, 2, 2, y)
+
+    def mis_split(mono, n, m, original=bialgebra._split_monomial):
+        left, right = original(mono, n, m)
+        if (n, m) == (2, 2) and mono.mu == (2,):
+            return left._replace(mu=right.mu), right._replace(mu=left.mu)
+        return left, right
+
+    monkeypatch.setattr(bialgebra, "_split_monomial", mis_split)
+    assert not check_coassociativity(x) and not check_coassociativity(y)
+    assert not check_wcs_axiom(2, 2, 3, x) and not check_wcs_axiom(3, 2, 2, y)
 
 
 class TestCounitLaws:

@@ -537,8 +537,9 @@ def _canonical_terms(x: LinearCombination) -> dict:
     """
     out: dict[tuple, Scalar] = {}
     for group in _pushed_down_groups(x._leg_items()):
-        for pos in range(len(next(iter(group)))):
-            _collapse_leg(group, pos)
+        if len(group) > 1:  # a lone term has no sibling to collapse with
+            for pos in range(len(next(iter(group)))):
+                _collapse_leg(group, pos)
         out.update(group)
     return out
 

@@ -2,22 +2,25 @@
 
 The embedding of component n*m into the component pair (n, m) sends the
 a-th generator to ``s_i (x) s_j`` where ``a - 1 = m*(i - 1) + (j - 1)``;
-words split letterwise (`_split_monomial`), so phi is a *-homomorphism by
-construction.  It sends distinct monomials to distinct monomial pairs
-and keeps coefficients, so on a sum it is a rewrite of keys, one leg at
-a time (`_split_leg`), for `phi`, both comultiplications and both
-triple checks.  The comultiplication of a component-n element sums the
-embeddings over all ordered divisor pairs of n, and the counit keeps the
-component-1 part.  The submonoid-restricted comultiplication takes
-elements supported in the submonoid and keeps only the divisor pairs
-with both factors in it; one loop over the divisor pairs, `_coproduct`,
-serves both comultiplications.  Coassociativity is the splitting axiom
-(`wcs`) at each ordered divisor triple of each component in turn; the
-first split of either side depends on one divisor pair only, so it is
-made once per pair (`_first_splits`) and shared by every triple through
-it.  The two sides of a triple are built as term lists in that memo's
-order and are equal term for term, the letter split being associative;
-only lists that differ are compared as maps (`_splittings_agree`).
+words split letterwise (`_split_monomial`, one ``divmod`` per letter),
+so phi is a *-homomorphism by construction.  It sends distinct monomials
+to distinct monomial pairs and keeps coefficients, so on a sum it is a
+rewrite of keys (`_split_leg`, which takes an element's ``((mono,),
+coeff)`` items and splits each ``mono``), for `phi`, both
+comultiplications and both triple checks.  The comultiplication of a
+component-n element sums the embeddings over all ordered divisor pairs
+of n, and the counit keeps the component-1 part.  The
+submonoid-restricted comultiplication takes elements supported in the
+submonoid and keeps only the divisor pairs with both factors in it, and
+the counit laws keep the pairs (1, n) and (n, 1); one loop over the
+divisor pairs, `_coproduct`, serves all three.  Coassociativity is the
+splitting axiom (`wcs`) at each ordered divisor triple of each component
+in turn; the first split of either side depends on one divisor pair
+only, so it is made once per pair (`_first_splits`) and shared by every
+triple through it.  The two sides of a triple are built as term lists
+in that memo's order and are equal term for term, the letter split
+being associative; only lists that differ are compared as maps
+(`_splittings_agree`).
 `lift_left` and `lift_right` build the whole triple tensors, as a
 reference.
 """
@@ -48,23 +51,32 @@ _tuple_new = tuple.__new__
 def _split_monomial(mono: CuntzMonomial, n: int, m: int) -> tuple[CuntzMonomial, CuntzMonomial]:
     """The halves of ``mono`` in components n and m, letter a going to i and j with a - 1 =
     m*(i - 1) + (j - 1), the single source of truth for phi; a component-1 half keeps no letters:
-    `I_1`, and the other half is then ``mono`` itself.  The halves are built by
-    ``tuple.__new__``, which skips `CuntzMonomial`'s Python-level constructor: the letters
-    are in range by construction."""
+    `I_1`, and the other half is then ``mono`` itself.  Each word is read once, one ``divmod``
+    per letter feeding both halves.  The halves are built by ``tuple.__new__``, which skips
+    `CuntzMonomial`'s Python-level constructor: the letters are in range by construction."""
     if n == 1:
         return I_1, mono
     if m == 1:
         return mono, I_1
     _, mu, nu = mono
+    left_mu, right_mu, left_nu, right_nu = [], [], [], []
+    for a in mu:
+        i, j = divmod(a - 1, m)
+        left_mu.append(i + 1)
+        right_mu.append(j + 1)
+    for a in nu:
+        i, j = divmod(a - 1, m)
+        left_nu.append(i + 1)
+        right_nu.append(j + 1)
     return (
-        _tuple_new(CuntzMonomial, (n, tuple([(a - 1) // m + 1 for a in mu]), tuple([(a - 1) // m + 1 for a in nu]))),
-        _tuple_new(CuntzMonomial, (m, tuple([(a - 1) % m + 1 for a in mu]), tuple([(a - 1) % m + 1 for a in nu]))),
+        _tuple_new(CuntzMonomial, (n, tuple(left_mu), tuple(left_nu))),
+        _tuple_new(CuntzMonomial, (m, tuple(right_mu), tuple(right_nu))),
     )
 
 
-def _split_leg(items, pos: int, n: int, m: int) -> dict:
-    """The ``(key, coeff)`` items with leg ``pos`` of each key split into components (n, m)."""
-    return {key[:pos] + _split_monomial(key[pos], n, m) + key[pos + 1:]: c for key, c in items}
+def _split_leg(items, n: int, m: int) -> dict:
+    """The ``((mono,), coeff)`` items of an element with each ``mono`` split into components (n, m)."""
+    return {_split_monomial(mono, n, m): c for (mono,), c in items}
 
 
 def phi(n: int, m: int, x: AlgebraElement) -> TensorElement:
@@ -77,7 +89,7 @@ def phi(n: int, m: int, x: AlgebraElement) -> TensorElement:
             raise InputError(
                 f"phi({n},{m}) expects support on component {_int_text(target, 'component')}, found {mono.n}"
             )
-    return TensorElement._raw(_split_leg(x._leg_items(), 0, n, m))
+    return TensorElement._raw(_split_leg(x._leg_items(), n, m))
 
 
 def _component_pairs(n: int) -> list[tuple[int, int]]:
@@ -106,7 +118,7 @@ def _coproduct(x: AlgebraElement, keep_pair=None) -> TensorElement:
     for n in sorted(parts):
         for m, l in _component_pairs(n):
             if keep_pair is None or keep_pair(m, l):
-                data.update(_split_leg(parts[n], 0, m, l))
+                data.update(_split_leg(parts[n], m, l))
     return TensorElement._raw(data)
 
 
@@ -171,7 +183,7 @@ def counit_contract_right(u: TensorElement) -> AlgebraElement:
 
 def _first_splits(items):
     """``(p, q) -> phi(p,q)`` on ``items`` as a key map, each pair split once and kept as long as the lookup."""
-    return functools.cache(functools.partial(_split_leg, items, 0))
+    return functools.cache(functools.partial(_split_leg, items))
 
 
 def _splittings_agree(first, a: int, b: int, c: int, left=True, right=True) -> bool:
@@ -225,7 +237,12 @@ def check_coassociativity(x: AlgebraElement) -> bool:
 
 
 def check_counit_laws(x: AlgebraElement) -> bool:
-    dx = delta(x)
+    """``(eps (x) id) delta = id = (id (x) eps) delta`` on ``x``.
+
+    A contraction keeps only the terms with a component-1 leg, which come
+    from the divisor pairs (1, n) and (n, 1), so only those pairs are split.
+    """
+    dx = _coproduct(x, lambda m, l: m == 1 or l == 1)
     return equals(counit_contract_left(dx), x) and equals(counit_contract_right(dx), x)
 
 

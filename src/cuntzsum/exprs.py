@@ -250,19 +250,35 @@ def _coeff_prefix(coeff: Scalar) -> str:
     return "" if coeff == ONE else f"[{coeff.literal()}] * "
 
 
+def _coeff_texts(terms, text) -> dict:
+    """``id(c) -> text(c)`` over the coefficients ``c`` of ``terms``, built once per distinct object.
+
+    Terms pushed down or split from one term share one Scalar object.  The
+    caller keeps ``terms``, so every id stays that of a live coefficient
+    while the dict is read, and each call builds its own dict.
+    """
+    texts: dict[int, str] = {}
+    for _, c in terms:
+        if id(c) not in texts:
+            texts[id(c)] = text(c)
+    return texts
+
+
 def render_element(x: AlgebraElement) -> str:
     terms = canonical_form(x).terms()
     if not terms:
         return "0"
-    return " + ".join(f"{_coeff_prefix(c)}{render_monomial(m)}" for m, c in terms)
+    prefix = _coeff_texts(terms, _coeff_prefix)
+    return " + ".join(f"{prefix[id(c)]}{render_monomial(m)}" for m, c in terms)
 
 
 def render_tensor(t: TensorElement) -> str:
     terms = canonical_tensor_form(t).terms()
     if not terms:
         return "0"
+    prefix = _coeff_texts(terms, _coeff_prefix)
     return " + ".join(
-        f"{_coeff_prefix(c)}({render_monomial(l)}) ⊗ ({render_monomial(r)})"
+        f"{prefix[id(c)]}({render_monomial(l)}) ⊗ ({render_monomial(r)})"
         for (l, r), c in terms
     )
 
@@ -308,9 +324,10 @@ def _mono_fields(m: CuntzMonomial) -> str:
 
 def _wire_lines(x: LinearCombination) -> str:
     """A canonical form's lines: per term, each leg's fields joined by ``⊗``, then the coefficient."""
-    legs = x._legs
+    legs, terms = x._legs, x.terms()
+    fields = _coeff_texts(terms, _coeff_fields)
     return "\n".join(
-        f"{' ⊗ '.join(map(_mono_fields, legs(key)))} | {_coeff_fields(c)}" for key, c in x.terms()
+        f"{' ⊗ '.join(map(_mono_fields, legs(key)))} | {fields[id(c)]}" for key, c in terms
     )
 
 

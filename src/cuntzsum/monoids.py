@@ -326,6 +326,13 @@ def window_of(view: SubmonoidView, bound: int) -> SubsetWindow:
     return SubsetWindow(bound, frozenset(compress(range(bound + 1), _trace_mask(view.generator_set, bound))))
 
 
+def _complement_of_trace(view: SubmonoidView, bound: int) -> SubsetWindow:
+    """The n in 1..bound outside `window_of` ``(view, bound)``: its trace mask with bytes 1..bound flipped."""
+    mask = _trace_mask(view.generator_set, bound).translate(_FLIP)
+    mask[0] = 0
+    return SubsetWindow(bound, frozenset(compress(range(bound + 1), mask)))
+
+
 # ---------------------------------------------------------------------------
 # Generic monoid backends
 

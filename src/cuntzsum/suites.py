@@ -64,6 +64,7 @@ from .monoids import (
     PrimeSet,
     SubmonoidView,
     SubsetWindow,
+    _complement_of_trace,
     complement_duality_check,
     divisor_pairs,
     is_prime,
@@ -514,10 +515,9 @@ def _duality_windows(bound, rng):
     for _ in range(34):
         view = SubmonoidView(random_prime_set(rng, cofinite_chance=0.3))
         yield window_of(view, bound)
-    universe = frozenset(range(1, bound + 1))
     for _ in range(33):
         view = SubmonoidView(random_prime_set(rng, cofinite_chance=0.3))
-        yield subset_window(bound, universe - window_of(view, bound).members)
+        yield _complement_of_trace(view, bound)
     yield subset_window(bound, {4**k for k in range(10) if 4**k <= bound})
     for _ in range(32):
         size = rng.randint(0, min(40, bound))

@@ -36,7 +36,7 @@ from cuntzsum import (
     tensor_unit,
     unit,
 )
-from cuntzsum import bialgebra
+from cuntzsum import bialgebra, mutations
 from cuntzsum.bialgebra import lift_left, lift_right
 
 
@@ -455,6 +455,52 @@ class TestCounitLaws:
         for n in range(1, 25):
             for k in range(1, n + 1):
                 assert check_counit_laws(generator(n, k))
+
+
+def counit_pair_coproduct(x):
+    """The terms of delta(x) from the divisor pairs (1, n) and (n, 1), which `check_counit_laws` contracts."""
+    return bialgebra._coproduct(x, lambda m, l: m == 1 or l == 1)
+
+
+def assert_contractions_match_the_full_coproduct(x):
+    part, full = counit_pair_coproduct(x), delta(x)
+    assert counit_contract_left(part) == counit_contract_left(full)
+    assert counit_contract_right(part) == counit_contract_right(full)
+    assert check_counit_laws(x) is (equals(counit_contract_left(full), x) and equals(counit_contract_right(full), x))
+
+
+@pytest.mark.parametrize("switch", [None, mutations.DROP_DIVISOR_PAIR])
+class TestCounitPairsAgainstTheFullCoproduct:
+    @pytest.mark.parametrize("expr", [
+        "0",
+        "[5-2i] I(1)",
+        "[1/2] I(1) + s(4,3) + s(12,7)*s(12,2)^*",
+        "I(4) + s(4,2)^* + [-3] s(4,4)*s(4,1)^* + s(6,5)*s(6,1)",
+        "I(1) + I(2) + I(3) + I(4) + I(12) + s(720720,5)*s(720720,9)^*",
+    ])
+    def test_fixed_elements(self, switch, expr):
+        with mutations.only(switch):
+            assert_contractions_match_the_full_coproduct(parse_element(expr))
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=elements(max_n=12, max_len=2, max_terms=4))
+    def test_random_elements(self, switch, x):
+        with mutations.only(switch):
+            assert_contractions_match_the_full_coproduct(x)
+
+    def test_a_broken_counit_pair_is_caught(self, switch, monkeypatch):
+        # the counit laws still read the (1, n) and (n, 1) splits: a kernel that drops the
+        # letters of a word split against component 1 fails them, as it fails the full contraction
+        split = bialgebra._split_monomial
+
+        def letterless_unit_splits(mono, n, m):
+            return split(monomial(mono.n) if 1 in (n, m) else mono, n, m)
+
+        monkeypatch.setattr(bialgebra, "_split_monomial", letterless_unit_splits)
+        with mutations.only(switch):
+            x = generator(4, 3)
+            assert not check_counit_laws(x)
+            assert not equals(counit_contract_left(delta(x)), x)
 
 
 class TestHomProperty:

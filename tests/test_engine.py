@@ -11,7 +11,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import elements, scalars
+from conftest import elements, monomials, scalars
 from cuntzsum import (
     AlgebraElement,
     Scalar,
@@ -23,6 +23,7 @@ from cuntzsum import (
     delta,
     from_monomial,
     monomial,
+    parse_element,
     render_element,
     render_tensor,
     serialize_element,
@@ -288,3 +289,90 @@ def test_rendered_delta_of_a_gap_two_sum_is_fast():
     assert time.perf_counter() - start < 2.0
     canon = canonical_tensor_form(t)
     assert canon.equals(t) and canonical_tensor_form(canon) == canon
+
+
+# ---------------------------------------------------------------------------
+# Output: each coefficient's text is built once per call, keyed by the
+# Scalar object, and a group of one term skips the sibling collapse.
+
+# hash(Scalar(-1)) == hash(Scalar(-2)), so text looked up by hash would print them alike
+_COEFFS = [Scalar(1), Scalar(-1), Scalar(-2), Scalar(Fraction(1, 2)), Scalar(0, -1), Scalar(Fraction(-3, 7), 2)]
+
+# per width: the class, its canonical form, its two printers, and the dense reference
+# with the name under which the printers look up the canonical form
+_PRINTERS = {
+    1: (AlgebraElement, canonical_form, render_element, serialize_element, dense_canonical_form, "canonical_form"),
+    2: (TensorElement, canonical_tensor_form, render_tensor, serialize_tensor, dense_canonical_tensor_form,
+        "canonical_tensor_form"),
+}
+
+
+def _keys(width):
+    """Keys of several groups, component-1 legs among them, and a complete sibling family."""
+    monos = [monomial(1), monomial(2), monomial(2, (1,)), monomial(3, (2,), (1,)), monomial(6, (5, 1), (2,))]
+    family = [monomial(3, (2, i), (1, i)) for i in (1, 2, 3)]
+    if width == 1:
+        return monos + family
+    return list(product(monos, repeat=2)) + [(monomial(1), leg) for leg in family]
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_output_is_the_same_for_shared_and_distinct_equal_coefficients(width):
+    cls, canon, render, serialize, _, _ = _PRINTERS[width]
+    keys = _keys(width)
+    for value in _COEFFS:
+        shared = cls._raw(dict.fromkeys(keys, value))
+        distinct = cls._raw({key: Scalar(value.re, value.im) for key in keys})
+        assert len(canon(distinct)) < len(keys)  # the family collapsed
+        assert (render(shared), serialize(shared)) == (render(distinct), serialize(distinct))
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_different_coefficients_print_apart(width):
+    """Printed whole, each term reads as it does printed alone, where no other coefficient's text is at hand."""
+    cls, canon, render, serialize, _, _ = _PRINTERS[width]
+    for shift in range(len(_COEFFS)):
+        x = cls._raw({key: _COEFFS[(j + shift) % len(_COEFFS)] for j, key in enumerate(_keys(width))})
+        terms = canon(x).terms()
+        assert len({c for _, c in terms}) >= 4
+        alone = [cls._raw({key: c}) for key, c in terms]
+        assert render(x) == " + ".join(map(render, alone))
+        assert serialize(x) == "\n".join(map(serialize, alone))
+
+
+@pytest.mark.parametrize("expr", [
+    "I(2) + s(2,1)*s(2,1)^*",
+    "s(2,1)*s(2,1)^* + s(2,2)*s(2,2)^*",
+    "[1/2] * s(3,2) + s(3,2)*s(3,1)*s(3,1)^*",
+    "s(2,1)*s(2,2)*s(2,2)^* + s(2,1)*s(2,1)*s(2,1)^*",
+    "[5] * I(1) + s(4,3)",
+])
+def test_two_term_groups_match_dense_engine(expr):
+    """Two terms of one group are pushed down, collapsed, or left as they are."""
+    x = parse_element(expr)
+    assert canonical_form(x) == dense_canonical_form(x)
+    expected = reference_strings(x, dense_canonical_form, render_element, serialize_element, "canonical_form")
+    assert (render_element(x), serialize_element(x)) == expected
+    t = simple_tensor(unit(1), x) + simple_tensor(x, unit(1))
+    assert canonical_tensor_form(t) == dense_canonical_tensor_form(t)
+
+
+@st.composite
+def lone_term_groups(draw, width):
+    """Terms of distinct (component, degree) leg signatures, so every group holds one term."""
+    legs = st.tuples(*[monomials(max_n=5, max_len=3)] * width)
+    terms = {}
+    for key in draw(st.lists(legs, max_size=6)):
+        signature = tuple((m.n, m.degree) for m in key)
+        terms.setdefault(signature, (key if width > 1 else key[0], draw(scalars(nonzero=True))))
+    return _PRINTERS[width][0](terms.values())
+
+
+@pytest.mark.parametrize("width", [1, 2])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_one_term_groups_match_dense_engine(width, data):
+    _, canon, render, serialize, dense, name = _PRINTERS[width]
+    x = data.draw(lone_term_groups(width))
+    assert canon(x) == dense(x) == x
+    assert (render(x), serialize(x)) == reference_strings(x, dense, render, serialize, name)

@@ -226,7 +226,7 @@ def test_complement_duality_checks_each_window_before_building_the_next(monkeypa
             return result
         return call
 
-    for name in ("window_of", "subset_window"):
+    for name in ("window_of", "_complement_of_trace", "subset_window"):
         monkeypatch.setattr(suites, name, logged("build", getattr(suites, name)))
     monkeypatch.setattr(suites, "complement_duality_check", logged("check", suites.complement_duality_check))
     cfg = SuiteConfig(bound=300)
@@ -237,6 +237,28 @@ def test_complement_duality_checks_each_window_before_building_the_next(monkeypa
     # one or two builds (a trace, then its complement) before each check, and none held back
     assert re.fullmatch(r"(BB?C){100}", kinds), kinds
     assert all(log[i][1] is log[i - 1][1] for i, (kind, _) in enumerate(log) if kind == "check")
+
+
+def _former_duality_windows(bound, rng):
+    """`suites._duality_windows` as it stood before its complements were read off the trace
+    mask: each complement was a universe frozenset minus the trace's members."""
+    for _ in range(34):
+        yield suites.window_of(suites.SubmonoidView(suites.random_prime_set(rng, cofinite_chance=0.3)), bound)
+    universe = frozenset(range(1, bound + 1))
+    for _ in range(33):
+        view = suites.SubmonoidView(suites.random_prime_set(rng, cofinite_chance=0.3))
+        yield suites.subset_window(bound, universe - suites.window_of(view, bound).members)
+    yield suites.subset_window(bound, {4**k for k in range(10) if 4**k <= bound})
+    for _ in range(32):
+        size = rng.randint(0, min(40, bound))
+        yield suites.subset_window(bound, rng.sample(range(1, bound + 1), size))
+
+
+@pytest.mark.parametrize("bound", [1, 2, 97, 1000, 4096])
+def test_duality_windows_match_the_former_construction(bound):
+    cfg = SuiteConfig(bound=bound)
+    windows = list(suites._duality_windows(bound, suites._rng(cfg, "complement-duality")))
+    assert windows == list(_former_duality_windows(bound, suites._rng(cfg, "complement-duality")))
 
 
 @pytest.mark.parametrize(

@@ -39,6 +39,7 @@ from cuntzsum.monoids import (
     _check_ideal,
     _check_prime,
     _check_subsemigroup,
+    _complement_of_trace,
     _window_mask,
     primes_up_to,
 )
@@ -354,6 +355,27 @@ def test_sieved_trace_matches_reference(case):
 def test_sieved_trace_matches_reference_at_max_bound(name):
     prime_set = fixed_set(name)
     assert window_of(SubmonoidView(prime_set), MAX_BOUND).members == _reference_trace(prime_set, MAX_BOUND)
+
+
+def _complement_by_difference(prime_set, bound):
+    universe = frozenset(range(1, bound + 1))
+    return subset_window(bound, universe - window_of(SubmonoidView(prime_set), bound).members)
+
+
+@settings(max_examples=100, deadline=None)
+@given(trace_cases())
+def test_trace_complement_is_the_window_minus_the_trace(case):
+    prime_set, bound = case
+    assert _complement_of_trace(SubmonoidView(prime_set), bound) == _complement_by_difference(prime_set, bound)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 255, 256, 1000, MAX_BOUND])
+@pytest.mark.parametrize("name", FIXED_SETS)
+def test_trace_complement_at_fixed_bounds(name, bound):
+    prime_set = fixed_set(name)
+    complement = _complement_of_trace(SubmonoidView(prime_set), bound)
+    assert complement == _complement_by_difference(prime_set, bound)
+    assert all(type(n) is int for n in complement.members)
 
 
 @pytest.mark.parametrize("primes", [[1], [1, 2], [1, 3, 7]])

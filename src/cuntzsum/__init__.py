@@ -56,9 +56,7 @@ from .exprs import (
 from .monoids import (
     FREE_MONOID_AB,
     NATURALS,
-    NATURALS_MONOID,
     FreeMonoid,
-    NaturalsMonoid,
     PowerSubmonoid,
     PrimeSet,
     SubmonoidView,

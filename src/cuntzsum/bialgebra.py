@@ -12,8 +12,9 @@ component-n element sums the embeddings over all ordered divisor pairs
 of n, and the counit keeps the component-1 part.  The
 submonoid-restricted comultiplication takes elements supported in the
 submonoid and keeps only the divisor pairs with both factors in it, and
-the counit laws keep the pairs (1, n) and (n, 1); one loop over the
-divisor pairs, `_coproduct`, serves all three.  Coassociativity is the
+the counit laws split the pairs (1, n) and (n, 1) only, with no
+factoring; one loop over the divisor pairs that its caller lists,
+`_coproduct`, serves all three.  Coassociativity is the
 splitting axiom (`wcs`) at each ordered divisor triple of each component
 in turn; the first split of either side depends on one divisor pair
 only, so it is made once per pair (`_first_splits`) and shared by every
@@ -107,8 +108,8 @@ def _by_component(x: AlgebraElement) -> dict[int, list]:
     return parts
 
 
-def _coproduct(x: AlgebraElement, keep_pair=None) -> TensorElement:
-    """Sum of the embeddings over the divisor pairs that ``keep_pair`` accepts (all by default).
+def _coproduct(x: AlgebraElement, pairs=_component_pairs) -> TensorElement:
+    """Sum of the embeddings over the divisor pairs ``pairs(n)`` of each component n (all by default).
 
     Each pair (m, l) lands in its own component pair, so the embeddings
     never share a term and their union is the sum.
@@ -116,9 +117,8 @@ def _coproduct(x: AlgebraElement, keep_pair=None) -> TensorElement:
     parts = _by_component(x)
     data: dict[tuple, Scalar] = {}
     for n in sorted(parts):
-        for m, l in _component_pairs(n):
-            if keep_pair is None or keep_pair(m, l):
-                data.update(_split_leg(parts[n], m, l))
+        for m, l in pairs(n):
+            data.update(_split_leg(parts[n], m, l))
     return TensorElement._raw(data)
 
 
@@ -132,7 +132,8 @@ def delta_restricted(submonoid, x: AlgebraElement) -> TensorElement:
     for n in sorted(x.support_components()):
         if not submonoid.contains(n):
             raise InputError(f"component {n} lies outside the submonoid")
-    return _coproduct(x, lambda m, l: submonoid.contains(m) and submonoid.contains(l))
+    keep = submonoid.contains
+    return _coproduct(x, lambda n: [(m, l) for m, l in _component_pairs(n) if keep(m) and keep(l)])
 
 
 # Spec-facing alias.
@@ -240,9 +241,10 @@ def check_counit_laws(x: AlgebraElement) -> bool:
     """``(eps (x) id) delta = id = (id (x) eps) delta`` on ``x``.
 
     A contraction keeps only the terms with a component-1 leg, which come
-    from the divisor pairs (1, n) and (n, 1), so only those pairs are split.
+    from the divisor pairs (1, n) and (n, 1), so only those pairs are split,
+    and no component is factored.
     """
-    dx = _coproduct(x, lambda m, l: m == 1 or l == 1)
+    dx = _coproduct(x, lambda n: ((1, n), (n, 1)))
     return equals(counit_contract_left(dx), x) and equals(counit_contract_right(dx), x)
 
 

@@ -19,7 +19,6 @@ from .algebra import AlgebraElement, generator, unit
 from .bialgebra import counit, delta, delta_restricted
 from .errors import InputError
 from .monoids import (
-    NATURALS_MONOID,
     PrimeSet,
     SubmonoidView,
     SubsetWindow,
@@ -54,15 +53,15 @@ def classify_component_set(window: SubsetWindow) -> Classification:
     if 1 not in mask:
         return Classification("zero", None)
     if mask[1]:
-        factorial = _check_factorial(NATURALS_MONOID, mask, bound)
+        factorial = _check_factorial(mask, bound)
         if not factorial.holds:
             return Classification("none", factorial.witness)
-        closed = _check_subsemigroup(NATURALS_MONOID, mask, bound)
+        closed = _check_subsemigroup(mask, bound)
         if not closed.holds:
             return Classification("none", closed.witness)
         return Classification("subbialgebra", None)
-    ideal = _check_ideal(NATURALS_MONOID, mask, bound)
-    prime = _check_prime(NATURALS_MONOID, mask, bound)
+    ideal = _check_ideal(mask, bound)
+    prime = _check_prime(mask, bound)
     if ideal.holds:
         return Classification("biideal" if prime.holds else "ideal_only", None)
     # the prime witness is preferred; it is None when only the ideal search fails

@@ -6,8 +6,8 @@ globally through prime factorization; its window trace is sieved
 directly from the primes.  Claims about arbitrary subsets are verified
 exhaustively inside a finite window and reported as such.  Over (N, *)
 each window search reads a byte mask of the subset with C-level slices;
-a free-monoid backend runs the same predicates as ordered scans, without
-commutativity.
+the free monoid on {a, b} has its own four searches, ordered scans over
+words, without commutativity.
 
 One trial-division loop factors every n up to MAX_FACTOR, for primality,
 membership and the divisor pairs alike.  No number table is kept: each
@@ -31,6 +31,7 @@ from .errors import InputError
 
 
 def is_prime(n: int) -> bool:
+    n = _integer(n, "is_prime")
     if n == 1:
         return mutations.is_active(mutations.ONE_IS_PRIME)
     return n > 1 and prime_factorize(n) == [n]
@@ -88,11 +89,21 @@ def _check_bound(bound: int, most: int = MAX_BOUND) -> None:
         raise InputError(f"window bound must be in 1..{most}, got {bound}")
 
 
-def _check_factorable(n: int, caller: str) -> None:
+def _integer(value, caller: str) -> int:
+    """``value`` through `operator.index`, as a window's members: a float or a string is refused, not truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InputError(f"{caller} requires an integer, got {value!r}") from None
+
+
+def _check_factorable(n, caller: str) -> int:
+    n = _integer(n, caller)
     if n < 1:
         raise InputError(f"{caller} requires n >= 1, got {n}")
     if n > MAX_FACTOR:
         raise InputError(f"{caller} requires n <= {MAX_FACTOR}, got {n}")
+    return n
 
 
 @functools.lru_cache(maxsize=64)
@@ -112,13 +123,12 @@ def _trial_factors(n: int) -> tuple[int, ...]:
 
 def prime_factorize(n: int) -> list[int]:
     """Prime factors with multiplicity, ascending; empty for n = 1."""
-    _check_factorable(n, "prime_factorize")
-    return list(_trial_factors(n))
+    return list(_trial_factors(_check_factorable(n, "prime_factorize")))
 
 
 def divisor_pairs(n: int) -> list[tuple[int, int]]:
     """Ordered pairs (m, l) with m*l == n, in increasing m; read from the factors, not a table."""
-    _check_factorable(n, "divisor_pairs")
+    n = _check_factorable(n, "divisor_pairs")
     divisors = [1]
     for p, e in Counter(_trial_factors(n)).items():
         divisors = [d * p**k for k in range(e + 1) for d in divisors]
@@ -127,7 +137,7 @@ def divisor_pairs(n: int) -> list[tuple[int, int]]:
 
 def divisor_triple_count(n: int) -> int:
     """Number of ordered triples (a, b, c) with abc == n: the product of C(e+2, 2) over n's prime exponents e."""
-    _check_factorable(n, "divisor_triple_count")
+    n = _check_factorable(n, "divisor_triple_count")
     count = 1
     for e in Counter(_trial_factors(n)).values():
         count *= (e + 2) * (e + 1) // 2
@@ -145,7 +155,7 @@ class PrimeSet:
     cofinite: bool = False
 
     def __post_init__(self):
-        primes = frozenset(int(p) for p in self.primes)
+        primes = frozenset(_integer(p, "a prime set") for p in self.primes)
         for p in primes:
             if not is_prime(p):
                 raise InputError(f"{p} is not prime")
@@ -233,6 +243,7 @@ class PowerSubmonoid:
     base: int
 
     def __post_init__(self):
+        object.__setattr__(self, "base", _integer(self.base, "a power submonoid"))
         if self.base < 2:
             raise InputError(f"power submonoid needs base >= 2, got {self.base}")
 
@@ -251,6 +262,7 @@ NATURALS = SubmonoidView(PrimeSet.all_primes())
 
 
 def submonoid_member(view: SubmonoidView, n: int) -> bool:
+    n = _integer(n, "membership")
     if n < 1:
         raise InputError(f"membership requires n >= 1, got {n}")
     return view.contains(n)
@@ -334,53 +346,15 @@ def _complement_of_trace(view: SubmonoidView, bound: int) -> SubsetWindow:
 
 
 # ---------------------------------------------------------------------------
-# Generic monoid backends
-
-
-class NaturalsMonoid:
-    """(N, *) within the window {1..bound}; its searches read a byte mask of the member set, not ``op``."""
-
-    max_bound = MAX_BOUND
-    unit = 1
-    op = operator.mul
-
-    @staticmethod
-    def elements(bound):
-        return range(1, bound + 1)
-
-    factor_pairs = staticmethod(divisor_pairs)
-
-
-class FreeMonoid:
-    """Words over the alphabet {a, b}; the window is a length cap."""
-
-    max_bound = MAX_WORD_LENGTH
-    alphabet = "ab"
-    unit = ""
-    op = operator.add
-
-    def elements(self, bound):
-        """Words by length, then in alphabet order."""
-        return ["".join(w) for k in range(bound + 1) for w in itertools.product(self.alphabet, repeat=k)]
-
-    @staticmethod
-    def factor_pairs(a):
-        return [(a[:i], a[i:]) for i in range(len(a) + 1)]
-
-
-NATURALS_MONOID = NaturalsMonoid()
-FREE_MONOID_AB = FreeMonoid()
-
-
-# ---------------------------------------------------------------------------
 # Windowed subset predicates
 #
 # The `_check_*` searches are the only deciders of these properties,
-# for the duality reports and for `classify` alike.  Each reports its
-# first failure as ``(product, left, right)`` with product == op(left,
-# right), and `classify` passes that triple on unchanged.  They assume a
-# nonempty member set inside the window; `_guard` settles the empty and
-# the improper (whole-window) cases before any search runs.
+# for the duality reports and for `classify` alike.  Each takes a member
+# set and the window's bound and reports its first failure as
+# ``(product, left, right)`` with product == op(left, right), and
+# `classify` passes that triple on unchanged.  They assume a nonempty
+# member set inside the window; `_guard` settles the empty and the
+# improper (whole-window) cases before any search runs.
 #
 # Over (N, *) a search reads the member set S as one byte mask
 # (`_window_mask`), built once per set and shared by its searches.  It
@@ -390,12 +364,13 @@ FREE_MONOID_AB = FreeMonoid()
 # witness of the ordered scan below: the first outer element that fails,
 # and its first failing partner.
 #
-# The free monoid runs that ordered scan with its ``op``, over words in
-# shortlex order (by length, then alphabetically), so each inner loop
-# over the members stops at the first one too long for its product to
-# stay in the window.  The subsemigroup and ideal scans share one
-# product search, `_check_products`: members times members, and window
-# elements times members on both sides.
+# The free monoid's own four searches (`FreeMonoid`) run that ordered
+# scan with its ``op``, over a set of words in shortlex order (by length,
+# then alphabetically), so each inner loop over the members stops at the
+# first one too long for its product to stay in the window.  The
+# subsemigroup and ideal scans share one product search,
+# `_check_products`: members times members, and window elements times
+# members on both sides.
 
 class PredicateResult(NamedTuple):
     holds: bool
@@ -472,19 +447,15 @@ def _split_witness(s: int, mask: bytearray, outside: int) -> PredicateResult:
     raise AssertionError(f"no failing divisor pair of {s}")
 
 
-def _check_subsemigroup(monoid, members, bound: int) -> PredicateResult:
+def _check_subsemigroup(members: bytearray, bound: int) -> PredicateResult:
     """First ``(ab, a, b)`` with ``ab`` in the window but not in ``members``."""
-    if not isinstance(monoid, NaturalsMonoid):
-        return _check_products(monoid, sorted(members, key=_shortlex), members, bound, two_sided=False)
     # a product in the window has a factor up to isqrt(bound), so the first member to fail is there
     root = isqrt(bound)
     return _product_witness(compress(range(root + 1), members[:root + 1]), members, bound)
 
 
-def _check_ideal(monoid, members, bound: int) -> PredicateResult:
+def _check_ideal(members: bytearray, bound: int) -> PredicateResult:
     """First product leaving ``members``: cofactor ``a`` outer, member ``s`` inner."""
-    if not isinstance(monoid, NaturalsMonoid):
-        return _check_products(monoid, monoid.elements(bound), members, bound, two_sided=True)
     # S is an ideal iff it holds the multiples of each primitive member (one past bound // 2 has no
     # other); if not, the least cofactor that takes some member out of S fails first
     for p in _primitives(bytearray(members)):
@@ -495,10 +466,8 @@ def _check_ideal(monoid, members, bound: int) -> PredicateResult:
     return _HOLDS
 
 
-def _check_factorial(monoid, members, bound: int) -> PredicateResult:
+def _check_factorial(members: bytearray, bound: int) -> PredicateResult:
     """First ``(s, b, c)`` with ``s = bc`` in ``members`` but ``b`` or ``c`` outside."""
-    if not isinstance(monoid, NaturalsMonoid):
-        return _check_splits(monoid, members, lambda b, c: b not in members or c not in members)
     # S is factorial iff it meets no multiple of a primitive element c of its complement C; the least
     # member it meets fails first, and no c past half of that can lower it
     first = bound + 1
@@ -511,10 +480,8 @@ def _check_factorial(monoid, members, bound: int) -> PredicateResult:
     return _split_witness(first, members, outside=1)
 
 
-def _check_prime(monoid, members, bound: int) -> PredicateResult:
+def _check_prime(members: bytearray, bound: int) -> PredicateResult:
     """First ``(s, b, c)`` with ``s = bc`` in ``members`` but ``b`` and ``c`` outside."""
-    if not isinstance(monoid, NaturalsMonoid):
-        return _check_splits(monoid, members, lambda b, c: b not in members and c not in members)
     # S is prime iff no member is c*d with c <= d both in C; each c's least such product is at its
     # least d, and no c with c*c past the least product found can lower it
     first = bound + 1
@@ -536,6 +503,37 @@ def _check_splits(monoid, members: set, fails) -> PredicateResult:
     return _HOLDS
 
 
+class FreeMonoid:
+    """Words over the alphabet {a, b}; the window is a length cap, and the four searches are ordered scans."""
+
+    alphabet = "ab"
+    unit = ""
+    op = operator.add
+
+    def elements(self, bound):
+        """Words by length, then in alphabet order."""
+        return ["".join(w) for k in range(bound + 1) for w in itertools.product(self.alphabet, repeat=k)]
+
+    @staticmethod
+    def factor_pairs(a):
+        return [(a[:i], a[i:]) for i in range(len(a) + 1)]
+
+    def _check_subsemigroup(self, members: set, bound: int) -> PredicateResult:
+        return _check_products(self, sorted(members, key=_shortlex), members, bound, two_sided=False)
+
+    def _check_ideal(self, members: set, bound: int) -> PredicateResult:
+        return _check_products(self, self.elements(bound), members, bound, two_sided=True)
+
+    def _check_factorial(self, members: set, bound: int) -> PredicateResult:
+        return _check_splits(self, members, lambda b, c: b not in members or c not in members)
+
+    def _check_prime(self, members: set, bound: int) -> PredicateResult:
+        return _check_splits(self, members, lambda b, c: b not in members and c not in members)
+
+
+FREE_MONOID_AB = FreeMonoid()
+
+
 def _guard(size: int, window_size: int | None = None) -> PredicateResult | None:
     """The verdict no search is needed for a set of ``size`` members: empty, or (given the window's size) improper.
 
@@ -550,7 +548,7 @@ def _guard(size: int, window_size: int | None = None) -> PredicateResult | None:
 
 def _window_verdict(check, window: SubsetWindow, proper: bool) -> PredicateResult:
     mask = _window_mask(*window)
-    return _guard(mask.count(1), window.bound if proper else None) or check(NATURALS_MONOID, mask, window.bound)
+    return _guard(mask.count(1), window.bound if proper else None) or check(mask, window.bound)
 
 
 def is_subsemigroup(window: SubsetWindow) -> PredicateResult:
@@ -612,17 +610,13 @@ def _and_results(*results: PredicateResult) -> PredicateResult:
     return _HOLDS
 
 
-def _side_verdicts(monoid, members, size: int, bound: int, window_size: int) -> SideVerdicts:
-    """The verdicts of a side of ``size`` elements, ``members`` in the searches' form (a byte mask over (N, *))."""
+def _side_verdicts(searches, members, has_unit, size: int, bound: int, window_size: int) -> SideVerdicts:
+    """The verdicts of a side of ``size`` elements by its monoid's subsemigroup, ideal, prime and factorial ``searches``."""
     guard = _guard(size, window_size)
     if guard is not None:
         # each of the six properties needs a nonempty proper subset
         return SideVerdicts(*[guard] * len(SideVerdicts._fields))
-    sub = _check_subsemigroup(monoid, members, bound)
-    ideal = _check_ideal(monoid, members, bound)
-    prime = _check_prime(monoid, members, bound)
-    fact = _check_factorial(monoid, members, bound)
-    has_unit = members[1] if isinstance(monoid, NaturalsMonoid) else monoid.unit in members
+    sub, ideal, prime, fact = [search(members, bound) for search in searches]
     unit_in = _HOLDS if has_unit else PredicateResult(False, ("missing unit",))
     return SideVerdicts(
         proper_subsemigroup=sub,
@@ -634,29 +628,33 @@ def _side_verdicts(monoid, members, size: int, bound: int, window_size: int) -> 
     )
 
 
-def complement_duality_check(window: SubsetWindow, monoid=NATURALS_MONOID) -> DualityReport:
+def complement_duality_check(window: SubsetWindow, monoid: FreeMonoid | None = None) -> DualityReport:
     """Check the subsemigroup/prime and ideal/factorial complement pairings.
 
-    ``window`` holds elements of ``monoid`` up to ``window.bound`` in its
-    size, over (N, *) by default.  For the free monoid pass
-    ``SubsetWindow(bound, frozenset(words))`` and ``FREE_MONOID_AB``.
+    ``window`` holds elements of (N, *) up to ``window.bound``.  For the
+    free monoid pass ``SubsetWindow(bound, frozenset(words))``, words of
+    length up to ``bound``, and ``FREE_MONOID_AB``.
     """
     bound = window.bound
-    if isinstance(monoid, NaturalsMonoid):
+    if monoid is None:
         found = _window_mask(*window)
-        size, window_size = found.count(1), bound
+        size, window_size, has_unit = found.count(1), bound, found[1]
         dual_found = found.translate(_FLIP)
         dual_found[0] = 0
+        searches = (_check_subsemigroup, _check_ideal, _check_prime, _check_factorial)
     else:
-        _check_bound(bound, monoid.max_bound)
+        _check_bound(bound, MAX_WORD_LENGTH)
         found = set(window.members)
         universe = set(monoid.elements(bound))
         if not universe.issuperset(found):
             raise InputError(f"members outside the window of bound {bound}")
-        size, window_size, dual_found = len(found), len(universe), universe - found
+        size, window_size, has_unit = len(found), len(universe), monoid.unit in found
+        dual_found = universe - found
+        searches = (monoid._check_subsemigroup, monoid._check_ideal, monoid._check_prime, monoid._check_factorial)
 
-    side = _side_verdicts(monoid, found, size, bound, window_size)
-    dual = _side_verdicts(monoid, dual_found, window_size - size, bound, window_size)
+    # the unit lies in the window, so in exactly one side
+    side = _side_verdicts(searches, found, has_unit, size, bound, window_size)
+    dual = _side_verdicts(searches, dual_found, not has_unit, window_size - size, bound, window_size)
 
     equivalences = (
         ("S proper subsemigroup <=> S^c prime", side.proper_subsemigroup.holds == dual.prime.holds),

@@ -306,3 +306,15 @@ def test_criterion_11_mutation_sensitivity():
             assert all(r.failures for r in failing)
         report = run_property_suite(SuiteConfig())
         assert report.all_passed, "baseline suites must be green"
+        # the default report's suites and check counts, pinned: a change to either is a change to the report
+        assert [(r.name, r.checks) for r in report.results] == [
+            ("rewriting-termination", 16683), ("relation-laws", 186), ("star-algebra-laws", 251),
+            ("oracle-agreement", 100), ("canonical-idempotence", 200), ("coassociativity", 500),
+            ("counit-laws", 502), ("hom-property", 274), ("non-cocommutativity", 2),
+            ("restricted-vs-full-coproduct", 25), ("wcs-axiom", 609), ("factorization", 10002),
+            ("generated-submonoids-factorial", 60), ("prime-set-lattice", 120), ("complement-duality", 100),
+            ("free-monoid-duality", 15), ("order-structure", 34), ("classifier-soundness", 130),
+            ("decomposition-exactness", 800), ("quotient-morphism", 100), ("order-anti-isomorphism", 15),
+            ("window-counterexample", 3), ("parser-roundtrip", 3006),
+        ]
+        assert sum(r.checks for r in report.results) == 33717

@@ -38,6 +38,7 @@ from cuntzsum import (
 )
 from cuntzsum import bialgebra, mutations
 from cuntzsum.bialgebra import lift_left, lift_right
+from cuntzsum.monoids import MAX_FACTOR, _trial_factors
 
 
 def ordered_triples(n):
@@ -456,10 +457,17 @@ class TestCounitLaws:
             for k in range(1, n + 1):
                 assert check_counit_laws(generator(n, k))
 
+    def test_no_component_is_factored(self):
+        # the pairs (1, n) and (n, 1) need no divisors, so a component past MAX_FACTOR is checked too
+        _trial_factors.cache_clear()
+        for n in (999999999989, MAX_FACTOR * 10):
+            assert check_counit_laws(unit(n) + generator(n, n - 1).scale(Scalar(1, 2)))
+        assert _trial_factors.cache_info().misses == 0
+
 
 def counit_pair_coproduct(x):
     """The terms of delta(x) from the divisor pairs (1, n) and (n, 1), which `check_counit_laws` contracts."""
-    return bialgebra._coproduct(x, lambda m, l: m == 1 or l == 1)
+    return bialgebra._coproduct(x, lambda n: ((1, n), (n, 1)))
 
 
 def assert_contractions_match_the_full_coproduct(x):

@@ -1,9 +1,13 @@
+import re
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from cuntzsum import (
     FREE_MONOID_AB,
+    NATURALS,
     InputError,
     PowerSubmonoid,
     PrimeSet,
@@ -23,7 +27,7 @@ from cuntzsum import (
     window_of,
 )
 from cuntzsum import monoids
-from cuntzsum.monoids import MAX_BOUND, MAX_WORD_LENGTH, NATURALS_MONOID, PredicateResult, _check_ideal, next_prime_after
+from cuntzsum.monoids import MAX_BOUND, MAX_WORD_LENGTH, PredicateResult, next_prime_after
 
 # Every entry that takes an (N, *) window as a bound and its members.
 WINDOW_ENTRIES = {
@@ -34,6 +38,31 @@ WINDOW_ENTRIES = {
                      classify_component_set, complement_duality_check)
     },
 }
+
+# Every entry that reads one number, by the name its error gives.
+NUMBER_ENTRIES = {
+    "a prime set": lambda n: PrimeSet.finite([2, n]),
+    "a power submonoid": PowerSubmonoid,
+    "prime_factorize": prime_factorize,
+    "divisor_pairs": divisor_pairs,
+    "is_prime": is_prime,
+    "membership": lambda n: submonoid_member(NATURALS, n),
+}
+
+
+class _Three:
+    def __index__(self):
+        return 3
+
+
+@pytest.mark.parametrize("caller", NUMBER_ENTRIES)
+def test_non_integers_are_refused_not_truncated(caller):
+    entry = NUMBER_ENTRIES[caller]
+    for value in (12.0, 2.9, "3", Fraction(4), None):
+        with pytest.raises(InputError, match=f"^{caller} requires an integer, got {re.escape(repr(value))}$"):
+            entry(value)
+    # a number is read through operator.index, as a window's members are
+    assert entry(_Three()) == entry(3)
 
 
 class TestFactorization:
@@ -76,8 +105,8 @@ class TestFactorization:
 
 class TestFactorPairs:
     def test_naturals(self):
-        assert list(NATURALS_MONOID.factor_pairs(6)) == [(1, 6), (2, 3), (3, 2), (6, 1)]
-        assert list(NATURALS_MONOID.factor_pairs(1)) == [(1, 1)]
+        assert divisor_pairs(6) == [(1, 6), (2, 3), (3, 2), (6, 1)]
+        assert divisor_pairs(1) == [(1, 1)]
         assert divisor_pairs(12)[0] == (1, 12)
 
     def test_free_monoid_prefix_splits(self):
@@ -322,18 +351,15 @@ class TestFreeMonoidBackend:
         # words ending in b absorb every left factor but not a right one:
         # the witness puts the member b on the left of the product
         ending_in_b = {w for w in FREE_MONOID_AB.elements(4) if w.endswith("b")}
-        assert _check_ideal(FREE_MONOID_AB, ending_in_b, 4) == PredicateResult(False, ("ba", "b", "a"))
+        assert FREE_MONOID_AB._check_ideal(ending_in_b, 4) == PredicateResult(False, ("ba", "b", "a"))
 
     def test_unit_laws_on_sampled_elements(self):
-        for monoid, sample in (
-            (NATURALS_MONOID, [1, 2, 7, 30]),
-            (FREE_MONOID_AB, ["", "a", "ab", "bba"]),
-        ):
-            for a in sample:
-                assert monoid.op(monoid.unit, a) == a
-                assert monoid.op(a, monoid.unit) == a
-                assert (monoid.unit, a) in monoid.factor_pairs(a)
-                assert (a, monoid.unit) in monoid.factor_pairs(a)
+        monoid = FREE_MONOID_AB
+        for a in ["", "a", "ab", "bba"]:
+            assert monoid.op(monoid.unit, a) == a
+            assert monoid.op(a, monoid.unit) == a
+            assert (monoid.unit, a) in monoid.factor_pairs(a)
+            assert (a, monoid.unit) in monoid.factor_pairs(a)
 
 
 @settings(max_examples=60, deadline=None)

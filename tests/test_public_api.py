@@ -19,7 +19,7 @@ from cuntzsum import (
 
 PUBLIC_NAMES = [
     "AlgebraElement", "Classification", "CuntzMonomial", "Decomposition", "FREE_MONOID_AB",
-    "FreeMonoid", "InputError", "NATURALS", "NATURALS_MONOID", "NaturalsMonoid", "ParseError",
+    "FreeMonoid", "InputError", "NATURALS", "ParseError",
     "PowerSubmonoid", "PrimeSet", "RawWord", "Scalar", "SubmonoidView", "SubsetWindow",
     "SuiteConfig", "SuiteReport", "TensorElement", "TripleTensorElement", "ZERO_ELEMENT",
     "canonical_form", "canonical_tensor_form", "check_biideal_on_generators",

@@ -2,7 +2,8 @@
 submonoid traces and the lattice check against the per-n reference loops
 in `window_reference`, of the byte-mask searches against the former
 two-strategy searches in `window_search_reference`, and a check of every
-search's ``(product, left, right)`` witness in both monoid backends."""
+search's ``(product, left, right)`` witness: the four byte-mask searches
+over (N, *) and the free monoid's four ordered scans."""
 
 import functools
 import itertools
@@ -17,7 +18,6 @@ import window_reference as ref
 import window_search_reference as old
 from cuntzsum import (
     FREE_MONOID_AB,
-    NaturalsMonoid,
     PrimeSet,
     SubmonoidView,
     SubsetWindow,
@@ -34,7 +34,6 @@ from cuntzsum import (
 )
 from cuntzsum.monoids import (
     MAX_BOUND,
-    NATURALS_MONOID,
     _check_factorial,
     _check_ideal,
     _check_prime,
@@ -96,33 +95,43 @@ def free_windows(draw, max_bound=4):
     return SubsetWindow(bound, frozenset(members))
 
 
-# What each search's witness (p, l, r) must show about the member set S.
-_WITNESS_CONDITIONS = {
-    _check_subsemigroup: lambda S, p, l, r: l in S and r in S and p not in S,
-    _check_ideal: lambda S, p, l, r: (l in S or r in S) and p not in S,
-    _check_factorial: lambda S, p, l, r: p in S and not (l in S and r in S),
-    _check_prime: lambda S, p, l, r: p in S and l not in S and r not in S,
-}
+# What the witness (p, l, r) of the subsemigroup, ideal, factorial and prime search must show
+# about the member set S.
+_WITNESS_CONDITIONS = (
+    lambda S, p, l, r: l in S and r in S and p not in S,
+    lambda S, p, l, r: (l in S or r in S) and p not in S,
+    lambda S, p, l, r: p in S and not (l in S and r in S),
+    lambda S, p, l, r: p in S and l not in S and r not in S,
+)
+NATURALS_SEARCHES = (_check_subsemigroup, _check_ideal, _check_factorial, _check_prime)
+FREE_SEARCHES = (
+    FREE_MONOID_AB._check_subsemigroup,
+    FREE_MONOID_AB._check_ideal,
+    FREE_MONOID_AB._check_factorial,
+    FREE_MONOID_AB._check_prime,
+)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(
-    windows().map(lambda window: (NATURALS_MONOID, window)),
-    free_windows().map(lambda window: (FREE_MONOID_AB, window)),
-))
+@given(st.one_of(windows().map(lambda window: (True, window)), free_windows().map(lambda window: (False, window))))
 def test_every_search_witness_is_product_left_right(case):
-    monoid, window = case
+    naturals, window = case
     members = set(window.members)
     assume(members)  # the searches assume a nonempty member set
-    # over (N, *) the searches read the member set as a byte mask
-    found = _window_mask(*window) if monoid is NATURALS_MONOID else members
-    for search, condition in _WITNESS_CONDITIONS.items():
-        result = search(monoid, found, window.bound)
+    if naturals:
+        # over (N, *) the searches read the member set as a byte mask
+        searches, found, op = NATURALS_SEARCHES, _window_mask(*window), operator.mul
+        universe = range(1, window.bound + 1)
+    else:
+        searches, found, op = FREE_SEARCHES, members, FREE_MONOID_AB.op
+        universe = FREE_MONOID_AB.elements(window.bound)
+    for search, condition in zip(searches, _WITNESS_CONDITIONS):
+        result = search(found, window.bound)
         if result.holds:
             continue
         p, l, r = result.witness
-        assert p == monoid.op(l, r), search.__name__
-        assert p in monoid.elements(window.bound), search.__name__
+        assert p == op(l, r), search.__name__
+        assert p in universe, search.__name__
         assert condition(members, p, l, r), search.__name__
 
 
@@ -388,21 +397,18 @@ def test_sieved_trace_skips_a_listed_unit(primes, cofinite):
     assert trace == _reference_trace(prime_set, 300)
 
 
-def test_naturals_searches_and_traces_call_no_op_or_contains(monkeypatch):
+def test_naturals_searches_and_traces_call_no_contains(monkeypatch):
     calls = []
+    contains = SubmonoidView.contains
 
-    def counting(name, original):
-        def counted(*args):
-            calls.append(name)
-            return original(*args)
-        return counted
+    def counted(*args):
+        calls.append("contains")
+        return contains(*args)
 
-    monkeypatch.setattr(NaturalsMonoid, "op", staticmethod(counting("op", operator.mul)))
-    monkeypatch.setattr(SubmonoidView, "contains", counting("contains", SubmonoidView.contains))
-    # the counters see direct calls
-    NATURALS_MONOID.op(2, 3)
+    monkeypatch.setattr(SubmonoidView, "contains", counted)
+    # the counter sees direct calls
     SubmonoidView(PrimeSet.finite([2])).contains(4)
-    assert calls == ["op", "contains"]
+    assert calls == ["contains"]
 
     calls.clear()
     rng = Random(9)
@@ -416,6 +422,6 @@ def test_naturals_searches_and_traces_call_no_op_or_contains(monkeypatch):
                 complement_duality_check(window)
                 classify_component_set(window)
                 if members:
-                    for search in _WITNESS_CONDITIONS:
-                        search(NATURALS_MONOID, _window_mask(bound, members), bound)
+                    for search in NATURALS_SEARCHES:
+                        search(_window_mask(bound, members), bound)
     assert calls == []

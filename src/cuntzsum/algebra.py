@@ -11,8 +11,9 @@ Equality of elements is decidable.  Within one component and one gauge
 degree ``|mu| - |nu|``, the monomials form a forest under refinement,
 ``s_mu s_nu^* = sum_i s_{mu i} s_{nu i}^*``, and monomials on an antichain
 of that forest are linearly independent (the normal form of the Cuntz
-relations).  Equality and canonical form push each term down only along
-the paths that lead to deeper terms, at about ``n`` terms per level
+relations).  Two values of one class with equal term maps are equal at
+once; otherwise equality and canonical form push each term down only
+along the paths that lead to deeper terms, at about ``n`` terms per level
 crossed, rather than expanding every term to the deepest nu-length.
 """
 
@@ -237,7 +238,7 @@ class LinearCombination:
 
     def equals(self, other) -> bool:
         """Exact equality, legwise as in `equals`."""
-        return _vanishes(self - other)
+        return (type(self) is type(other) and self._terms == other._terms) or _vanishes(self - other)
 
     def __repr__(self):
         if not self._terms:
@@ -309,7 +310,7 @@ def reduce_word(word: RawWord) -> AlgebraElement:
     reduced = _reduce_letters(letters)
     if reduced is None:
         return ZERO_ELEMENT
-    return from_monomial(_letters_to_monomial(word.n, reduced))
+    return AlgebraElement._raw({_letters_to_monomial(word.n, reduced): ONE})
 
 
 def reduction_trace(word: RawWord) -> list[int]:
@@ -479,8 +480,8 @@ def _vanishes(x: LinearCombination) -> bool:
 
 
 def equals(x: AlgebraElement, y: AlgebraElement) -> bool:
-    """Exact equality in the algebra: ``x - y`` pushes down to no terms."""
-    return _vanishes(x - y)
+    """Exact equality in the algebra: equal term maps of one class, else ``x - y`` pushes down to no terms."""
+    return (type(x) is type(y) and x._terms == y._terms) or _vanishes(x - y)
 
 
 def _collapse_leg(group: dict, pos: int) -> None:

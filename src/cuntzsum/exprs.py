@@ -352,7 +352,7 @@ def deserialize_element(text: str) -> AlgebraElement:
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"line {lineno}: bad field: {exc}") from None
         terms.append((mono, coeff))
-    return AlgebraElement(terms)
+    return AlgebraElement._raw(_accumulate({}, terms))
 
 
 def serialize_tensor(t: TensorElement) -> str:

@@ -34,7 +34,7 @@ def is_prime(n: int) -> bool:
     n = _integer(n, "is_prime")
     if n == 1:
         return mutations.is_active(mutations.ONE_IS_PRIME)
-    return n > 1 and prime_factorize(n) == [n]
+    return n > 1 and _trial_factors(_check_factorable(n, "prime_factorize")) == (n,)
 
 
 def primes_up_to(bound: int) -> list[int]:
@@ -230,7 +230,9 @@ class SubmonoidView:
     generator_set: PrimeSet
 
     def contains(self, n: int) -> bool:
-        return n >= 1 and all(map(self.generator_set.contains, prime_factorize(n)))
+        return n >= 1 and all(
+            map(self.generator_set.contains, _trial_factors(_check_factorable(n, "prime_factorize")))
+        )
 
     def __repr__(self):
         return f"SubmonoidView({self.generator_set.describe()})"

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from cuntzsum import (
     tensor_unit,
     unit,
 )
-from cuntzsum.algebra import CuntzMonomial, RawWord, expand_to_level, reduction_trace
+from cuntzsum.algebra import CuntzMonomial, RawWord, _mono_mul, expand_to_level, reduction_trace
 
 
 def word(n, *letters):
@@ -69,6 +70,20 @@ class TestReduceWord:
                     g = generator(2, i)
                     via_product = via_product * (g.adjoint() if starred else g)
                 assert via_rewrite == via_product
+
+    def test_seeded_words_match_the_validating_build(self):
+        """The reduced word is one validated monomial: its element is `from_monomial`'s."""
+        rng = Random(31)
+        for _ in range(3000):
+            n = rng.randint(1, 5)
+            pattern = [(rng.randint(1, n), rng.random() < 0.5) for _ in range(rng.randint(0, 8))]
+            product = monomial(n)
+            for i, starred in pattern:
+                product = product and _mono_mul(product, monomial(n, (), (i,)) if starred else monomial(n, (i,)))
+            expected = ZERO_ELEMENT if product is None else from_monomial(monomial(*product))
+            got = reduce_word(RawWord(n, tuple(pattern)))
+            assert type(got) is AlgebraElement and got == expected
+            assert [type(c) for _, c in got.items()] == [Scalar] * len(got)
 
 
 class TestArithmetic:

@@ -31,7 +31,7 @@ from cuntzsum import (
     simple_tensor,
     unit,
 )
-from cuntzsum import bialgebra, exprs, mutations
+from cuntzsum import ZERO_ELEMENT, algebra, bialgebra, equals, exprs, mutations
 from cuntzsum.bialgebra import lift_left, lift_right
 from cuntzsum.cli import main
 from dense_reference import dense_canonical_form, dense_canonical_tensor_form, refinements
@@ -133,6 +133,79 @@ def test_width_three_equality_matches_dense_engine(x, zero, e, perturb):
         canon = canonical_tensor_form(side)
         assert type(canon) is TripleTensorElement
         assert dict(canon.items()) == dict(dense_canonical_tensor_form(side).items())
+
+
+def subtracting_equals(x, y):
+    """The equality reference: ``x - y`` pushes down to no terms, with no equal-map shortcut."""
+    return algebra._vanishes(x - y)
+
+
+@st.composite
+def component_triples(draw):
+    """A component, three sums in it, so their products do not vanish, and a hidden zero there."""
+    n = draw(st.sampled_from((4, 6, 8, 12)))
+    return (n, *(draw(component_sums((n,))) for _ in range(3)), draw(hidden_zeros((n,))))
+
+
+def _equal_map_pairs(x, y, z):
+    """Equal term maps built by two routes, so equal coefficients are distinct Scalar objects."""
+    dx = delta(x)
+    return [
+        ((x * y) * z, x * (y * z)),
+        (delta(x * y), delta(x) * delta(y)),
+        (lift_left(delta, dx), lift_right(delta, dx)),
+    ]
+
+
+@given(component_triples(), scalars(nonzero=True), st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_equality_matches_the_subtracting_reference(sums, c, letter):
+    """At widths 1, 2 and 3: equal maps, a hidden zero added to one side, and a perturbation."""
+    n, x, y, z, zero = sums
+    e = from_monomial(monomial(n, (letter,)), c)
+    pairs = _equal_map_pairs(x, y, z)
+    for a, b in pairs:
+        assert dict(a.items()) == dict(b.items())
+    dx, hidden, perturbed = delta(x), delta(x + zero), delta(x + e)
+    pairs += [
+        (x, x + zero), (dx, hidden), (lift_left(delta, dx), lift_right(delta, hidden)),
+        (x, x + e), (dx, perturbed), (lift_left(delta, dx), lift_right(delta, perturbed)),
+        (x, x * 2), (dx, dx * 2), (x + zero, x + e),
+    ]
+    for a, b in pairs:
+        expected = subtracting_equals(a, b)
+        assert a.equals(b) == b.equals(a) == expected
+        if type(a) is AlgebraElement:
+            assert equals(a, b) == equals(b, a) == expected
+    assert not (x.equals(x + e) or dx.equals(perturbed))
+
+
+def test_equal_maps_are_equal_without_subtracting(monkeypatch):
+    x, y, z = (parse_element(f"s(6,{i})*s(6,2)^* + [1/2+1i] * s(6,{i + 1}) + I(6)") for i in (1, 3, 5))
+    pairs = _equal_map_pairs(x, y, z)
+    for a, b in pairs:
+        assert any(a.coefficient(key) is not c for key, c in b.items())
+
+    def refuse(_):
+        raise AssertionError("equal term maps were subtracted")
+
+    monkeypatch.setattr(algebra, "_vanishes", refuse)
+    for a, b in pairs:
+        assert a.equals(b) and b.equals(a)
+    assert equals(*pairs[0])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: unit(2).equals(5),
+    lambda: ZERO_ELEMENT.equals(TensorElement()),
+    lambda: TensorElement().equals(ZERO_ELEMENT),
+    lambda: equals(ZERO_ELEMENT, TensorElement()),
+    lambda: TripleTensorElement().equals(TensorElement()),
+])
+def test_equality_across_classes_raises_type_error(call):
+    """Values of different classes are never equal maps: they go to the subtraction, which refuses them."""
+    with pytest.raises(TypeError):
+        call()
 
 
 def coassociative_by_lifts(x):

@@ -1,6 +1,7 @@
 import sys
 import time
 from fractions import Fraction
+from random import Random
 
 import hypothesis.strategies as st
 import pytest
@@ -425,6 +426,30 @@ class TestSerialization:
     def test_bad_field_names_its_line(self, line):
         with pytest.raises(InputError, match="^line 2: "):
             deserialize_element("2 | 1 | - | 1/1 | 0/1\n" + line)
+
+
+def test_seeded_wire_texts_match_the_validating_build():
+    """Lines in any order, with repeated monomials that sum or cancel and zero coefficients,
+    read to the element `AlgebraElement` builds of the same terms."""
+    rng = Random(31)
+    for _ in range(300):
+        terms = []
+        for _ in range(rng.randint(0, 8)):
+            n = rng.randint(1, 4)
+            mu = [rng.randint(1, n) for _ in range(rng.randint(0, 2))]
+            mono = monomial(n, mu, [rng.randint(1, n)] * rng.randint(0, 1))
+            coeff = Scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), Fraction(rng.randint(-1, 1), 2))
+            terms.append((mono, coeff))
+            if rng.random() < 0.3:  # the same monomial again, to cancel it or add to it
+                terms.append((mono, -coeff if rng.random() < 0.5 else Scalar(1)))
+        rng.shuffle(terms)
+        # str(Fraction) writes a bare integer or n/d, as the wire format reads them
+        text = "\n".join(f"{exprs._mono_fields(m)} | {c.re} | {c.im}" for m, c in terms)
+        got = deserialize_element(text)
+        assert type(got) is AlgebraElement and got == AlgebraElement(terms)
+    assert deserialize_element("2 | 1 | - | 1/2 | 0\n3 | - | - | 0 | 0/5\n2 | 1 | - | -1/2 | 0").is_zero()
+    pair = deserialize_element("2 | 1 | - | 1/2 | 0\n2 | 1 | - | 1/3 | -1")
+    assert pair == AlgebraElement({monomial(2, (1,)): Scalar(Fraction(5, 6), -1)})
 
 
 @given(elements(max_n=6, max_len=2, max_terms=3))

@@ -26,7 +26,7 @@ from cuntzsum import (
     subset_window,
     window_of,
 )
-from cuntzsum import monoids
+from cuntzsum import monoids, mutations
 from cuntzsum.monoids import MAX_BOUND, MAX_WORD_LENGTH, PredicateResult, next_prime_after
 
 # Every entry that takes an (N, *) window as a bound and its members.
@@ -92,15 +92,24 @@ class TestFactorization:
 
         assert is_prime(999999999989)  # the largest prime below the limit
         assert divisor_pairs(MAX_FACTOR)[-1] == (MAX_FACTOR, 1)
-        for func in (prime_factorize, divisor_pairs, is_prime):
-            with pytest.raises(InputError, match="<= 1000000000000"):
+        # primality and membership factor through prime_factorize's gate and say so
+        message = "prime_factorize requires n <= 1000000000000, got 1000000000001"
+        for func in (prime_factorize, is_prime, NATURALS.contains, lambda n: submonoid_member(NATURALS, n)):
+            with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
                 func(MAX_FACTOR + 1)
+        message = "divisor_pairs requires n <= 1000000000000, got 1000000000001"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            divisor_pairs(MAX_FACTOR + 1)
 
     def test_unit_is_not_prime(self):
         assert not is_prime(1)
         assert is_prime(2)
         assert not is_prime(0)
+        assert not is_prime(-7)
         assert next_prime_after(31) == 37
+        with mutations.enabled(mutations.ONE_IS_PRIME):
+            assert is_prime(1)
+            assert not is_prime(0) and not is_prime(-7)
 
 
 class TestFactorPairs:

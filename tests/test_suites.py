@@ -1,4 +1,5 @@
 import array
+import hashlib
 import multiprocessing
 import os
 import re
@@ -27,6 +28,7 @@ from cuntzsum.suites import (
     _suite_rewriting_termination,
     _word_products,
 )
+from suite_reports import SWITCHES, golden_path, machine_report
 
 SMALL = SuiteConfig(seed=7, bound=120, max_component=8, max_word_len=2, sample_count=12)
 
@@ -90,6 +92,24 @@ def test_all_suites_pass_small_config():
     assert [r.name for r in report.results] == list(SUITE_NAMES)
     assert [(r.name, r.checks) for r in report.results] == SMALL_CHECKS
     assert sum(r.checks for r in report.results) == 28072
+
+
+# md5 prefix of each golden machine report (default config, ``seconds``
+# stripped), as CHANGES.md quotes it.
+REPORT_MD5 = {
+    "default": "783c142d",
+    mutations.DROP_DIVISOR_PAIR: "c1ac94d9",
+    mutations.SKIP_DELTA_CHECK: "c840d7ac",
+    mutations.ONE_IS_PRIME: "691cceb4",
+}
+
+
+@pytest.mark.parametrize("name", list(SWITCHES))
+def test_machine_report_is_pinned_verbatim(name):
+    """`suite --format machine` at the default config, by default and under each switch."""
+    golden = golden_path(name).read_text()
+    assert hashlib.md5(golden.encode()).hexdigest()[:8] == REPORT_MD5[name]
+    assert machine_report(SWITCHES[name]) == (0 if name == "default" else 1, golden)
 
 
 @pytest.mark.parametrize("mutation", mutations.ALL_MUTATIONS)

@@ -29,6 +29,7 @@ from .monoids import (
     _or_multiples,
     _trace_mask,
     _window_mask,
+    divisor_pairs,
 )
 
 
@@ -74,11 +75,13 @@ def check_biideal_on_generators(prime_set: PrimeSet, n: int) -> bool:
     view = SubmonoidView(prime_set)
     if view.contains(n):
         raise InputError(f"component {n} lies inside the generated submonoid")
+    # every leg's component divides n, so each divisor's membership is asked once
+    inside = {m for m, _ in divisor_pairs(n) if view.contains(m)}
     for x in [unit(n)] + [generator(n, i) for i in range(1, n + 1)]:
         if counit(x) != 0:
             return False
         for (left, right), _ in delta(x).items():
-            if view.contains(left.n) and view.contains(right.n):
+            if left.n in inside and right.n in inside:
                 return False
     return True
 

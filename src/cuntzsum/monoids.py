@@ -9,9 +9,9 @@ each window search reads a byte mask of the subset with C-level slices;
 the free monoid on {a, b} has its own four searches, ordered scans over
 words, without commutativity.
 
-One trial-division loop factors every n up to MAX_FACTOR, for primality,
-membership and the divisor pairs alike.  No number table is kept: each
-window search builds its mask, bound + 1 bytes, per call.
+Each n below 2^16 is factored from a 64 KiB smallest-prime-factor table,
+built once and never written after, so threads share it; larger n are
+trial-divided up to MAX_FACTOR.  Each window's mask is built per call.
 """
 
 from __future__ import annotations
@@ -34,11 +34,23 @@ def is_prime(n: int) -> bool:
     n = _integer(n, "is_prime")
     if n == 1:
         return mutations.is_active(mutations.ONE_IS_PRIME)
+    if 1 < n < _TABLE_SIZE:
+        return not _factor_table()[n]
     return n > 1 and _trial_factors(_check_factorable(n, "prime_factorize")) == (n,)
 
 
 def primes_up_to(bound: int) -> list[int]:
-    return [n for n in range(1, bound + 1) if is_prime(n)]
+    """The primes up to ``bound``, ascending, from a sieve over a byte mask; ``bound`` at most MAX_BOUND."""
+    if bound > MAX_BOUND:
+        raise InputError(f"primes_up_to requires bound <= {MAX_BOUND}, got {bound}")
+    if bound < 1:
+        return []
+    mask = bytearray(b"\0\0" + b"\1" * (bound - 1))
+    for p in range(2, isqrt(bound) + 1):
+        if mask[p]:
+            mask[p * p::p] = bytes(len(range(p * p, bound + 1, p)))
+    mask[1] = mutations.is_active(mutations.ONE_IS_PRIME)
+    return list(compress(range(bound + 1), mask))
 
 
 def next_prime_after(n: int) -> int:
@@ -106,9 +118,33 @@ def _check_factorable(n, caller: str) -> int:
     return n
 
 
+# Size of the smallest-prime-factor table: a composite below 2^16 has one of at most 255, a byte.
+_TABLE_SIZE = 1 << 16
+_smallest_factors: bytearray | None = None
+
+
+def _factor_table() -> bytearray:
+    """Byte n is the smallest prime factor of n < 2^16, or 0 for a prime and for 0 and 1; built on first use
+    into a local and published with one assignment, so a thread sees no table or a whole one."""
+    global _smallest_factors
+    if _smallest_factors is None:
+        table = bytearray(_TABLE_SIZE)
+        # from the largest p down, so each composite keeps the least p that divides it
+        for p in range(255, 1, -1):
+            table[p * p::p] = bytes((p,)) * len(range(p * p, _TABLE_SIZE, p))
+        _smallest_factors = table
+    return _smallest_factors
+
+
 @functools.lru_cache(maxsize=64)
 def _trial_factors(n: int) -> tuple[int, ...]:
-    """Prime factors of n, ascending, by trial division; memoised so `coassoc` factors a component once."""
+    """Prime factors of n, ascending, from `_factor_table` or by trial division; memoised so `coassoc` factors a component once."""
+    if n < _TABLE_SIZE:
+        table, factors = _factor_table(), []
+        while p := table[n]:
+            factors.append(p)
+            n //= p
+        return tuple(factors + [n] if n > 1 else factors)
     twos = (n & -n).bit_length() - 1  # the exponent of 2 in n
     factors, n, d = [2] * twos, n >> twos, 3
     while True:
@@ -127,12 +163,18 @@ def prime_factorize(n: int) -> list[int]:
 
 
 def divisor_pairs(n: int) -> list[tuple[int, int]]:
-    """Ordered pairs (m, l) with m*l == n, in increasing m; read from the factors, not a table."""
+    """Ordered pairs (m, l) with m*l == n, in increasing m, as a new list; below 2^16 read from a memo."""
     n = _check_factorable(n, "divisor_pairs")
+    return list(_pairs(n) if n < _TABLE_SIZE else _pairs.__wrapped__(n))
+
+
+@functools.lru_cache(maxsize=64)
+def _pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The divisor pairs of n; the memo holds n below 2^16 only, so at most 120 pairs each."""
     divisors = [1]
     for p, e in Counter(_trial_factors(n)).items():
         divisors = [d * p**k for k in range(e + 1) for d in divisors]
-    return [(m, n // m) for m in sorted(divisors)]
+    return tuple((m, n // m) for m in sorted(divisors))
 
 
 def divisor_triple_count(n: int) -> int:

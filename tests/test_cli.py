@@ -18,6 +18,7 @@ from cuntzsum.classify import classify_component_set
 from cuntzsum.cli import build_parser, main
 from cuntzsum.exprs import MAX_PARSE_PAIRS, MAX_PRODUCT_TERMS
 from cuntzsum.monoids import MAX_BOUND, MAX_DIVISOR_TRIPLES, MAX_FACTOR, PrimeSet, SubmonoidView, window_of
+from cli_corpus import ARGVS as CORPUS_ARGVS, golden_records, record
 
 # Python 3.10.7 and later refuse to convert ints of more than 4,300
 # digits to or from text unless told otherwise.
@@ -683,3 +684,15 @@ def test_closed_stdout_exits_2_without_traceback(argv, unbuffered):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (2, b"")
+
+
+CORPUS = golden_records()
+
+
+@pytest.mark.parametrize("expected", CORPUS, ids=[f"{i}-{r['argv'][0]}" for i, r in enumerate(CORPUS)])
+def test_cli_corpus_is_pinned_verbatim(expected):
+    assert record(expected["argv"]) == expected
+
+
+def test_cli_corpus_golden_file_holds_every_argv():
+    assert [r["argv"] for r in CORPUS] == CORPUS_ARGVS

@@ -1,9 +1,12 @@
 """Factorization and divisor pairs against plain trial division: for
-every small n, a sample up to MAX_BOUND, around each power of two up to
-it and past it; and the window layer run from eight threads at once."""
+every small n, every n the smallest-prime-factor table covers, a sample
+up to MAX_BOUND, around each power of two up to it and past it; the
+table and the window layer built from eight threads at once; the prime
+sieve; and the biideal check against its per-term form."""
 
 import sys
 import threading
+import types
 from collections import Counter
 from math import isqrt
 
@@ -11,9 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuntzsum import monoids
-from cuntzsum.classify import classify_component_set, lattice_iso_check
+from cuntzsum import classify, monoids, mutations
+from cuntzsum.algebra import generator, monomial, unit
+from cuntzsum.classify import check_biideal_on_generators, classify_component_set, lattice_iso_check
 from cuntzsum.cli import main
+from cuntzsum.errors import InputError
 from cuntzsum.monoids import (
     MAX_BOUND,
     PrimeSet,
@@ -26,6 +31,7 @@ from cuntzsum.monoids import (
     is_prime_subset,
     is_subsemigroup,
     prime_factorize,
+    primes_up_to,
     subset_window,
     window_of,
 )
@@ -63,6 +69,145 @@ def assert_matches_trial_division(n):
     assert is_prime(n) == (factors == [n]), n
     for prime_set in PRIME_SETS:
         assert SubmonoidView(prime_set).contains(n) == all(prime_set.contains(p) for p in factors), (n, prime_set)
+
+
+TABLE_SIZE = 1 << 16
+
+
+def test_every_n_the_table_covers_matches_trial_division():
+    for n in [*range(1, TABLE_SIZE), TABLE_SIZE, TABLE_SIZE + 1]:
+        factors = trial_factors(n)
+        assert prime_factorize(n) == factors, n
+        assert is_prime(n) == (factors == [n]), n
+
+
+def run_from_eight_threads(work):
+    """``work(k)`` for k in 0..7, each in its own thread, with a 1 us switch interval; their results in order."""
+    found, errors = [None] * 8, []
+
+    def worker(k):
+        try:
+            found[k] = work(k)
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    return found
+
+
+@pytest.mark.parametrize("round_", range(4))
+def test_table_built_from_eight_threads_equals_a_serial_build(monkeypatch, round_):
+    monkeypatch.setattr(monoids, "_smallest_factors", None)
+    serial = monoids._factor_table()
+    assert len(serial) == TABLE_SIZE
+    monkeypatch.setattr(monoids, "_smallest_factors", None)
+    start = threading.Barrier(8)
+
+    def work(k):
+        start.wait(timeout=60)
+        # a copy of the table as this thread gets it, so a table published before it is whole shows
+        return bytes(monoids._factor_table())
+
+    tables = run_from_eight_threads(work)
+    assert all(table == serial for table in tables)
+    assert monoids._smallest_factors == serial
+
+
+def test_divisor_pairs_are_a_new_list_each_call():
+    monoids._pairs.cache_clear()
+    for n in (1, 12, 2520, 55440, TABLE_SIZE - 1):
+        first = divisor_pairs(n)
+        assert first == trial_pairs(n) and first is not divisor_pairs(n)
+        first.clear()
+        assert divisor_pairs(n) == trial_pairs(n)
+    assert len(divisor_pairs(55440)) == 120  # the most divisors of any n below 2^16
+    # n past the table is not kept
+    memo = monoids._pairs.cache_info()
+    for n in (TABLE_SIZE, TABLE_SIZE + 1, MAX_BOUND + 1, 963761198400):
+        assert divisor_pairs(n) == trial_pairs(n)
+    assert monoids._pairs.cache_info() == memo
+
+
+def test_primes_up_to_matches_trial_division_and_factors_nothing():
+    every_prime = [n for n in range(2, MAX_BOUND + 1) if trial_factors(n) == [n]]
+    before = monoids._trial_factors.cache_info()
+    for bound in range(0, 2001):
+        assert primes_up_to(bound) == [p for p in every_prime if p <= bound], bound
+    assert primes_up_to(MAX_BOUND) == every_prime
+    assert monoids._trial_factors.cache_info() == before
+    assert primes_up_to(-3) == []
+    with mutations.only(mutations.ONE_IS_PRIME):
+        assert primes_up_to(1) == [1] and primes_up_to(10) == [1, 2, 3, 5, 7]
+    with pytest.raises(InputError, match="primes_up_to requires bound <= 100000, got 100001"):
+        primes_up_to(MAX_BOUND + 1)
+
+
+def biideal_per_term(prime_set, n):
+    """`check_biideal_on_generators` as it was: membership asked for both legs of every coproduct term."""
+    view = SubmonoidView(prime_set)
+    if view.contains(n):
+        raise InputError(f"component {n} lies inside the generated submonoid")
+    for x in [unit(n)] + [generator(n, i) for i in range(1, n + 1)]:
+        if classify.counit(x) != 0:
+            return False
+        for (left, right), _ in classify.delta(x).items():
+            if view.contains(left.n) and view.contains(right.n):
+                return False
+    return True
+
+
+# the prime sets of the classifier-soundness suite
+SOUNDNESS_PRIME_SETS = [
+    PrimeSet.finite([]),
+    PrimeSet.finite([2]),
+    PrimeSet.finite([2, 3]),
+    PrimeSet.finite([3, 5]),
+    PrimeSet.excluding([2]),
+]
+
+
+def test_biideal_check_asks_each_divisor_once_and_agrees_with_the_per_term_check(monkeypatch):
+    asked = Counter()
+
+    def counting(view, n, original=SubmonoidView.contains):
+        asked[n] += 1
+        return original(view, n)
+
+    for prime_set in SOUNDNESS_PRIME_SETS:
+        for n in range(1, 61):
+            if SubmonoidView(prime_set).contains(n):
+                continue
+            expected = biideal_per_term(prime_set, n)
+            asked.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(SubmonoidView, "contains", counting)
+                assert check_biideal_on_generators(prime_set, n) == expected, (prime_set, n)
+            assert sum(asked.values()) <= len(trial_pairs(n)) + 1, (prime_set, n)
+
+
+def test_biideal_check_fails_with_the_per_term_check(monkeypatch):
+    # a coproduct that put I(2) (x) I(4), legs that divide 12, into component 12 would leave the biideal
+    # on the complement of the submonoid of primes:2
+    def leaky_delta(x, original=classify.delta):
+        extra = [((monomial(2), monomial(4)), 1)] if x.support_components() == {12} else []
+        return types.SimpleNamespace(items=lambda: [*original(x).items(), *extra])
+
+    monkeypatch.setattr(classify, "delta", leaky_delta)
+    prime_set = PrimeSet.finite([2])
+    assert biideal_per_term(prime_set, 12) is False
+    assert check_biideal_on_generators(prime_set, 12) is False
+    assert check_biideal_on_generators(prime_set, 7) is biideal_per_term(prime_set, 7) is True
 
 
 def test_every_small_n_matches_trial_division():
@@ -140,28 +285,11 @@ def test_window_layer_from_eight_threads_agrees_with_one_thread(round_):
         ]
 
     expected = [result(job) for job in jobs]
-    found = [None] * 8
-    errors = []
 
-    def worker(k):
-        try:
-            # each thread starts at its own offset, so the threads run different jobs at once
-            order = list(range(k, len(jobs))) + list(range(k))
-            got = {i: result(jobs[i]) for i in order}
-            found[k] = [got[i] for i in range(len(jobs))]
-        except BaseException as exc:  # reported by the main thread
-            errors.append(exc)
+    def work(k):
+        # each thread starts at its own offset, so the threads run different jobs at once
+        order = list(range(k, len(jobs))) + list(range(k))
+        got = {i: result(jobs[i]) for i in order}
+        return [got[i] for i in range(len(jobs))]
 
-    previous = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-    finally:
-        sys.setswitchinterval(previous)
-    assert not any(thread.is_alive() for thread in threads)
-    assert errors == []
-    assert all(result == expected for result in found)
+    assert all(found == expected for found in run_from_eight_threads(work))

@@ -11,6 +11,7 @@ with the two parts annihilating each other.
 
 from __future__ import annotations
 
+import functools
 from itertools import compress
 from math import isqrt
 from typing import NamedTuple
@@ -29,7 +30,6 @@ from .monoids import (
     _or_multiples,
     _trace_mask,
     _window_mask,
-    divisor_pairs,
 )
 
 
@@ -75,13 +75,13 @@ def check_biideal_on_generators(prime_set: PrimeSet, n: int) -> bool:
     view = SubmonoidView(prime_set)
     if view.contains(n):
         raise InputError(f"component {n} lies inside the generated submonoid")
-    # every leg's component divides n, so each divisor's membership is asked once
-    inside = {m for m, _ in divisor_pairs(n) if view.contains(m)}
+    # each leg component's membership is asked once, whatever delta returns
+    contains = functools.cache(view.contains)
     for x in [unit(n)] + [generator(n, i) for i in range(1, n + 1)]:
         if counit(x) != 0:
             return False
         for (left, right), _ in delta(x).items():
-            if left.n in inside and right.n in inside:
+            if contains(left.n) and contains(right.n):
                 return False
     return True
 

@@ -163,18 +163,15 @@ def prime_factorize(n: int) -> list[int]:
 
 
 def divisor_pairs(n: int) -> list[tuple[int, int]]:
-    """Ordered pairs (m, l) with m*l == n, in increasing m, as a new list; below 2^16 read from a memo."""
+    """Ordered pairs (m, l) with m*l == n, in increasing m; built from the factors, not kept."""
     n = _check_factorable(n, "divisor_pairs")
-    return list(_pairs(n) if n < _TABLE_SIZE else _pairs.__wrapped__(n))
-
-
-@functools.lru_cache(maxsize=64)
-def _pairs(n: int) -> tuple[tuple[int, int], ...]:
-    """The divisor pairs of n; the memo holds n below 2^16 only, so at most 120 pairs each."""
-    divisors = [1]
-    for p, e in Counter(_trial_factors(n)).items():
-        divisors = [d * p**k for k in range(e + 1) for d in divisors]
-    return tuple((m, n // m) for m in sorted(divisors))
+    divisors, last, new = [1], 1, []
+    for p in _trial_factors(n):
+        # a repeated p multiplies only the divisors the previous p made
+        new = [d * p for d in (new if p == last else divisors)]
+        divisors += new
+        last = p
+    return [(m, n // m) for m in sorted(divisors)]
 
 
 def divisor_triple_count(n: int) -> int:

@@ -2,9 +2,12 @@
 
 It covers the number-theory commands (`member`, `classify`, `lattice`,
 `deltaH`, `delta`, `coassoc`, `counitlaws`) at components around 2^16
-and from 12 to 2520, with inputs that exit 2.  Usage errors that
-argparse reports are left out: their text depends on the Python version
-and the terminal width.
+and from 12 to 2520, the algebra commands (`norm`, `eq`, `eps`, `phi`,
+`wcs`, `decompose`, `quotient`) in both formats, and every malformed
+expression of `tests/test_exprs.py` under `norm`, with inputs that exit
+2.  Usage errors that argparse reports are left out: their text depends
+on the Python version and the terminal width.  So is the over-long
+integer, whose error depends on the interpreter's digit limit.
 
 Run from the repository root, on the tree whose output is to be pinned,
 to rewrite the golden file:
@@ -71,7 +74,68 @@ ARGVS = [
     ["counitlaws", "I(65537)"],
     ["counitlaws", "s(2520,3) + [1/2] s(12,5)^*"],
     ["counitlaws", "s(3,"],
+    ["norm", "s(2,1)*s(2,1)^* + s(2,2)*s(2,2)^*"],
+    ["norm", "--format", "machine", "[1/2+1/3i] s(3,2)*s(3,1)^* + [-2] I(4) + [0-1i] s(4,3)^*"],
+    ["norm", "s(2,1)^* * s(2,2)"],
+    ["norm", "0"],
+    ["norm", "[3/6] s(5,4)^* * s(5,4) + [-1/2] I(5)"],
+    ["norm", "--format", "machine", "s(2,1)^* + s(12,5)*s(12,7)^*"],
+    ["norm", "[-7/3-2/5i] s(3,1)*s(3,2)*s(3,3)^* + [1/3] s(3,3)*s(3,3)^*"],
+    ["eq", "I(2)", "s(2,1)*s(2,1)^* + s(2,2)*s(2,2)^*"],
+    ["eq", "I(3)", "s(3,1)*s(3,1)^* + s(3,2)*s(3,2)^*"],
+    ["eq", "[1/2] s(2,1)", "[2/4] s(2,1)*s(2,1)*s(2,1)^* + [1/2] s(2,1)*s(2,2)*s(2,2)^*"],
+    ["eq", "[1/2+1i] I(2)", "[1/2+1i] s(2,1)*s(2,1)^* + [1/2+1i] s(2,2)*s(2,2)^*"],
+    ["eq", "[1/2+1i] I(2)", "[1/2-1i] I(2)"],
+    ["eq", "I(1)", "s(1,1)^*"],
+    ["eq", "--format", "machine", "s(4,2)", "s(4,2)"],
+    ["eps", "I(3) + [1/2] s(2,1)"],
+    ["eps", "[2+3i] I(1) + s(4,2)*s(4,2)^*"],
+    ["eps", "s(6,5)^*"],
+    ["phi", "2", "3", "s(6,5)"],
+    ["phi", "3", "2", "I(6) + s(6,1)*s(6,6)^*"],
+    ["phi", "--format", "machine", "2", "6", "[1/2] s(12,7)^*"],
+    ["phi", "2", "2", "s(3,1)"],
+    ["phi", "0", "2", "I(2)"],
+    ["wcs", "2", "3", "2", "s(12,7)*s(12,11)^*"],
+    ["wcs", "1", "2", "3", "I(6) + s(6,4)"],
+    ["wcs", "2", "2", "2", "I(6)"],
+    ["decompose", "--primes", "2", "I(4) + s(3,1) + [1/2] s(6,5)"],
+    ["decompose", "--coprimes", "3", "--format", "machine", "s(2,1)*s(2,2)^* + I(9) + I(1)"],
+    ["decompose", "--primes", "4", "I(4)"],
+    ["quotient", "--primes", "2,3", "I(6) + s(5,1)", "s(6,2)^* + I(5)"],
+    ["quotient", "--coprimes", "2", "s(3,1) + s(4,1)", "s(3,2)^*"],
+    ["quotient", "--primes", "2", "s(2,3)", "I(2)"],
 ]
+
+# The malformed expressions of `tests/test_exprs.py`, in its order.
+MALFORMED = [
+    "s(2,1) + + s(2,2)",
+    "s(2,1) - s(2,2)",
+    "* s(2,1)",
+    "s((2,1)",
+    "s(2,1))",
+    "s(2,1) [2]",
+    "]",
+    "s(2,,1)",
+    "s(2/1)",
+    "^* s(2,1)",
+    "I(2)^*",
+    "s(2,1) @",
+    "s(2,1)^ ",
+    "(" * 201 + "s(2,1)" + ")" * 201,
+    "[1/0] * I(2)",
+    "[1+2s] * I(2)",
+    "[1+2] * I(2)",
+    "",
+    "0 0",
+    "s(0,1)",
+    "s(2,3)",
+    "s(2,0)",
+    "I(0)",
+    "s(2,5) + + s(2,1)",
+    "s(2,5) + @",
+]
+ARGVS += [["norm", text] for text in MALFORMED]
 
 
 def record(argv):

@@ -306,8 +306,7 @@ def reduce_word(word: RawWord) -> AlgebraElement:
     i == j, to zero otherwise.  Each step removes two letters, so the
     loop terminates with a word of shape (unstarred)*(starred)*.
     """
-    letters = _validated_letters(word)
-    reduced = _reduce_letters(letters)
+    reduced = _reduce_letters(_validated_letters(word))
     if reduced is None:
         return ZERO_ELEMENT
     return AlgebraElement._raw({_letters_to_monomial(word.n, reduced): ONE})
@@ -322,41 +321,39 @@ def reduction_trace(word: RawWord) -> list[int]:
 
 
 def _validated_letters(word: RawWord):
-    _check_letters(word.n, (i for i, _ in word.letters))
-    return list(word.letters)
+    _check_letters(word.n, [i for i, _ in word.letters])
+    return word.letters
 
 
 def _reduce_letters(letters, lengths=None) -> list | None:
-    """Cancel leftmost ``s_i^* s_j`` pairs in place; None once i != j makes the word zero.
+    """Cancel ``s_i^* s_j`` pairs in one left-to-right pass; None once i != j makes the word zero.
 
-    Appends the word length after each cancellation to ``lengths``.
+    The reduced prefix is a stack that holds no redex, so a redex is always
+    its top and the next letter, the leftmost redex of the whole word: the
+    pairs cancel in the order of repeated leftmost rewriting.  Appends the
+    word length after each cancellation to ``lengths``.
     """
-    pos = 0
-    while pos < len(letters) - 1:
-        if letters[pos][1] and not letters[pos + 1][1]:
-            if letters[pos][0] != letters[pos + 1][0] and not mutations.is_active(
-                mutations.SKIP_DELTA_CHECK
-            ):
+    stack = []
+    rest = len(letters)
+    for letter in letters:
+        rest -= 1
+        if stack and stack[-1][1] and not letter[1]:
+            if stack.pop()[0] != letter[0] and not mutations.is_active(mutations.SKIP_DELTA_CHECK):
                 return None
-            del letters[pos : pos + 2]
             if lengths is not None:
-                lengths.append(len(letters))
-            # Only the pair straddling the cut can have become a redex.
-            pos = max(pos - 1, 0)
+                lengths.append(len(stack) + rest)
         else:
-            pos += 1
-    return letters
+            stack.append(letter)
+    return stack
 
 
 def _letters_to_monomial(n: int, letters) -> CuntzMonomial:
-    split = len(letters)
-    for k, (_, starred) in enumerate(letters):
-        if starred:
-            split = k
-            break
-    mu = tuple(i for i, _ in letters[:split])
-    nu = tuple(i for i, _ in reversed(letters[split:]))
-    return monomial(n, mu, nu)
+    """The monomial of checked letters of shape (unstarred)*(starred)*, built without a second check."""
+    if n == 1:
+        return monomial(1)
+    mu = tuple([i for i, starred in letters if not starred])
+    nu = tuple([i for i, starred in reversed(letters) if starred])
+    return CuntzMonomial(n, mu, nu)
 
 
 def _refinements(mono: CuntzMonomial, level: int) -> Iterator[CuntzMonomial]:

@@ -33,7 +33,7 @@ from .algebra import (
     unit,
 )
 from .errors import InputError, ParseError
-from .scalars import ONE, Scalar, _int_text
+from .scalars import ONE, Scalar, _int_text, _of
 from .tensors import TensorElement, canonical_tensor_form
 
 
@@ -299,19 +299,26 @@ def _int_field(field: str) -> int:
     return int(field)
 
 
+_WORD_FIELD = re.compile(r"[0-9]+(?:,[0-9]+)*")  # what `_word_field` writes for a nonempty word
+
+
 def _parse_word_field(field: str) -> tuple[int, ...]:
     if field == "-":
         return ()
-    return tuple(_int_field(part) for part in field.split(","))
+    if _WORD_FIELD.fullmatch(field):
+        return tuple(map(int, field.split(",")))
+    return tuple(_int_field(part) for part in field.split(","))  # raises on the first bad letter
 
 
-_COEFF_FIELD = re.compile(r"-?[0-9]+(?:/[0-9]+)?")  # what `_coeff_fields` writes, or a bare integer
+_COEFF_FIELD = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")  # what `_coeff_fields` writes, or a bare integer
 
 
 def _coeff_field(field: str) -> Fraction:
-    if not _COEFF_FIELD.fullmatch(field):
+    match = _COEFF_FIELD.fullmatch(field)
+    if not match:
         raise ValueError(f"Invalid literal for Fraction: {field!r}")
-    return Fraction(field)
+    num, den = match.groups()
+    return Fraction(int(num), int(den)) if den else Fraction(int(num))
 
 
 def _coeff_fields(c: Scalar) -> str:
@@ -348,7 +355,7 @@ def deserialize_element(text: str) -> AlgebraElement:
             mono = monomial(
                 _int_field(fields[0]), _parse_word_field(fields[1]), _parse_word_field(fields[2])
             )
-            coeff = Scalar(_coeff_field(fields[3]), _coeff_field(fields[4]))
+            coeff = _of(_coeff_field(fields[3]), _coeff_field(fields[4]))
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"line {lineno}: bad field: {exc}") from None
         terms.append((mono, coeff))

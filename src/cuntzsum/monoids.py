@@ -136,15 +136,20 @@ def _factor_table() -> bytearray:
     return _smallest_factors
 
 
+def _factors(n: int) -> tuple[int, ...]:
+    """Prime factors of n, ascending: walked from `_factor_table` below 2^16, else `_trial_factors`."""
+    if n >= _TABLE_SIZE:
+        return _trial_factors(n)
+    table, factors = _factor_table(), []
+    while p := table[n]:
+        factors.append(p)
+        n //= p
+    return tuple(factors + [n] if n > 1 else factors)
+
+
 @functools.lru_cache(maxsize=64)
 def _trial_factors(n: int) -> tuple[int, ...]:
-    """Prime factors of n, ascending, from `_factor_table` or by trial division; memoised so `coassoc` factors a component once."""
-    if n < _TABLE_SIZE:
-        table, factors = _factor_table(), []
-        while p := table[n]:
-            factors.append(p)
-            n //= p
-        return tuple(factors + [n] if n > 1 else factors)
+    """Prime factors of n >= 2^16 by trial division; memoised so `coassoc` factors a component once."""
     twos = (n & -n).bit_length() - 1  # the exponent of 2 in n
     factors, n, d = [2] * twos, n >> twos, 3
     while True:
@@ -159,14 +164,14 @@ def _trial_factors(n: int) -> tuple[int, ...]:
 
 def prime_factorize(n: int) -> list[int]:
     """Prime factors with multiplicity, ascending; empty for n = 1."""
-    return list(_trial_factors(_check_factorable(n, "prime_factorize")))
+    return list(_factors(_check_factorable(n, "prime_factorize")))
 
 
 def divisor_pairs(n: int) -> list[tuple[int, int]]:
     """Ordered pairs (m, l) with m*l == n, in increasing m; built from the factors, not kept."""
     n = _check_factorable(n, "divisor_pairs")
     divisors, last, new = [1], 1, []
-    for p in _trial_factors(n):
+    for p in _factors(n):
         # a repeated p multiplies only the divisors the previous p made
         new = [d * p for d in (new if p == last else divisors)]
         divisors += new
@@ -178,7 +183,7 @@ def divisor_triple_count(n: int) -> int:
     """Number of ordered triples (a, b, c) with abc == n: the product of C(e+2, 2) over n's prime exponents e."""
     n = _check_factorable(n, "divisor_triple_count")
     count = 1
-    for e in Counter(_trial_factors(n)).values():
+    for e in Counter(_factors(n)).values():
         count *= (e + 2) * (e + 1) // 2
     return count
 
@@ -270,7 +275,7 @@ class SubmonoidView:
 
     def contains(self, n: int) -> bool:
         return n >= 1 and all(
-            map(self.generator_set.contains, _trial_factors(_check_factorable(n, "prime_factorize")))
+            map(self.generator_set.contains, _factors(_check_factorable(n, "prime_factorize")))
         )
 
     def __repr__(self):

@@ -99,6 +99,8 @@ class Scalar:
         return not self.is_zero()
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if not isinstance(other, Scalar):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented

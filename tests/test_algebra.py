@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
@@ -23,7 +24,16 @@ from cuntzsum import (
     tensor_unit,
     unit,
 )
-from cuntzsum.algebra import CuntzMonomial, RawWord, _mono_mul, expand_to_level, reduction_trace
+from cuntzsum import mutations
+from cuntzsum.algebra import (
+    CuntzMonomial,
+    RawWord,
+    _check_letters,
+    _mono_mul,
+    expand_to_level,
+    reduction_trace,
+)
+from cuntzsum.scalars import ONE
 
 
 def word(n, *letters):
@@ -84,6 +94,107 @@ class TestReduceWord:
             got = reduce_word(RawWord(n, tuple(pattern)))
             assert type(got) is AlgebraElement and got == expected
             assert [type(c) for _, c in got.items()] == [Scalar] * len(got)
+
+
+def reference_reduce_letters(letters, lengths=None):
+    """The package's in-place reduction before its one-pass stack, kept as a reference:
+    cancel the leftmost ``s_i^* s_j`` pair of the list until none is left, or return
+    None at the first with i != j (unless `skip-delta-check` is on)."""
+    pos = 0
+    while pos < len(letters) - 1:
+        if letters[pos][1] and not letters[pos + 1][1]:
+            if letters[pos][0] != letters[pos + 1][0] and not mutations.is_active(
+                mutations.SKIP_DELTA_CHECK
+            ):
+                return None
+            del letters[pos : pos + 2]
+            if lengths is not None:
+                lengths.append(len(letters))
+            pos = max(pos - 1, 0)
+        else:
+            pos += 1
+    return letters
+
+
+def reference_reduction(word):
+    """(`reduction_trace`, `reduce_word`) of ``word`` through `reference_reduce_letters`,
+    the monomial built by the validating `monomial`."""
+    _check_letters(word.n, (i for i, _ in word.letters))
+    letters = list(word.letters)
+    trace = [len(letters)]
+    reduced = reference_reduce_letters(letters, trace)
+    if reduced is None:
+        return trace, ZERO_ELEMENT
+    split = next((k for k, (_, starred) in enumerate(reduced) if starred), len(reduced))
+    mu = [i for i, _ in reduced[:split]]
+    nu = [i for i, _ in reversed(reduced[split:])]
+    return trace, AlgebraElement._raw({monomial(word.n, mu, nu): ONE})
+
+
+def index_sequences(length, n):
+    """Index sequences over 1..n in which index k + 1 first appears after index k."""
+    def grow(prefix, top):
+        if len(prefix) == length:
+            yield prefix
+            return
+        for i in range(1, min(top + 1, n) + 1):
+            yield from grow(prefix + (i,), max(top, i))
+
+    return grow((), 0)
+
+
+def small_words(n):
+    """Every word of length <= 8 over n = 2; over n = 3, every one up to a renaming of its
+    indices: reduction only compares indices and copies them, so a renamed word reduces
+    to the renamed result, and these cover every case that n = 3 has."""
+    alphabet = [(1, False), (1, True), (2, False), (2, True)]
+    for length in range(9):
+        if n == 2:
+            yield from (RawWord(2, w) for w in product(alphabet, repeat=length))
+            continue
+        for indices in index_sequences(length, 3):
+            for stars in product((False, True), repeat=length):
+                yield RawWord(3, tuple(zip(indices, stars)))
+
+
+def random_words(count):
+    """Seeded words of length <= 12 in components 1 to 6; about one in twenty holds a letter out of range."""
+    rng = Random(41)
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        top = n + 1 if rng.random() < 0.05 else n
+        yield RawWord(n, tuple((rng.randint(0 if top > n else 1, top), rng.random() < 0.5) for _ in range(rng.randint(0, 12))))
+
+
+# Under `skip-delta-check` no index is compared, so the words over n = 3 hold no case
+# that those over n = 2 do not; without it, both sets are checked.
+@pytest.mark.parametrize("skip_delta_check, components, count", [
+    (False, (2, 3), 87_381 + 336_179),
+    (True, (2,), 87_381),
+], ids=["default", "skip-delta-check"])
+def test_one_pass_reduction_matches_the_in_place_reference(skip_delta_check, components, count):
+    checked = errors = 0
+    with mutations.only(mutations.SKIP_DELTA_CHECK if skip_delta_check else None):
+        for n in components:
+            for word in small_words(n):
+                trace, element = reference_reduction(word)
+                assert reduction_trace(word) == trace and reduce_word(word) == element, word
+                checked += 1
+        for word in random_words(10_000):
+            try:
+                expected = reference_reduction(word)
+            except InputError as exc:
+                errors += 1
+                for function in (reduction_trace, reduce_word):
+                    with pytest.raises(InputError) as info:
+                        function(word)
+                    assert str(info.value) == str(exc)
+                continue
+            trace, got = reduction_trace(word), reduce_word(word)
+            assert (trace, got) == expected, word
+            assert [type(m) for m in got._terms] == [CuntzMonomial] * len(got)
+    assert checked == count
+    assert errors > 100
 
 
 class TestArithmetic:

@@ -1,3 +1,4 @@
+import re
 import sys
 import time
 from fractions import Fraction
@@ -32,6 +33,7 @@ from cuntzsum import (
     unit,
 )
 from cuntzsum import exprs
+from cuntzsum.algebra import _accumulate
 
 
 class TestParser:
@@ -450,6 +452,89 @@ def test_seeded_wire_texts_match_the_validating_build():
     assert deserialize_element("2 | 1 | - | 1/2 | 0\n3 | - | - | 0 | 0/5\n2 | 1 | - | -1/2 | 0").is_zero()
     pair = deserialize_element("2 | 1 | - | 1/2 | 0\n2 | 1 | - | 1/3 | -1")
     assert pair == AlgebraElement({monomial(2, (1,)): Scalar(Fraction(5, 6), -1)})
+
+
+_REFERENCE_INT = re.compile(r"[0-9]+")
+_REFERENCE_COEFF = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
+def reference_int_field(field):
+    if not _REFERENCE_INT.fullmatch(field):
+        raise ValueError(f"invalid literal for int() with base 10: {field!r}")
+    return int(field)
+
+
+def reference_coeff_field(field):
+    if not _REFERENCE_COEFF.fullmatch(field):
+        raise ValueError(f"Invalid literal for Fraction: {field!r}")
+    return Fraction(field)
+
+
+def reference_deserialize(text):
+    """The wire reader as it was before it read coefficients as integers and checked each
+    word in one match: one match per letter and `Fraction(str)` per coefficient."""
+    terms = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        fields = [f.strip() for f in line.split("|")]
+        if len(fields) != 5:
+            raise InputError(f"line {lineno}: expected 5 fields, found {len(fields)}")
+        try:
+            words = [() if f == "-" else tuple(reference_int_field(i) for i in f.split(",")) for f in fields[1:3]]
+            mono = monomial(reference_int_field(fields[0]), *words)
+            coeff = Scalar(reference_coeff_field(fields[3]), reference_coeff_field(fields[4]))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"line {lineno}: bad field: {exc}") from None
+        terms.append((mono, coeff))
+    return AlgebraElement._raw(_accumulate({}, terms))
+
+
+def read_both(text):
+    """(value or InputError text) of `deserialize_element` and of the reference on ``text``."""
+    outcomes = []
+    for reader in (deserialize_element, reference_deserialize):
+        try:
+            outcomes.append(reader(text))
+        except InputError as exc:
+            outcomes.append(f"InputError: {exc}")
+    return outcomes
+
+
+_LONG = "7" * 5000  # past the interpreter's default limit on digits converted to int
+
+
+@pytest.mark.parametrize("value", [
+    "1/0", "-1/0", "0/0", "-0/0", "01", "-01/02", "+1", "٣", "1,,2", "1,", ",1", "-", "--1", "",
+    " 1", "1 ", "1 ,2", "1, 2", "1/ 2", "1 /2", "- 1", "1/2/3", "1.5", "1_0", "0x1", "1,2,3", "3/6", "-0", "0/7",
+    _LONG, "-" + _LONG, f"1/{_LONG}", f"{_LONG}/1", f"1,{_LONG}", f"{_LONG},x", f"x,{_LONG}",
+])
+def test_wire_reader_matches_the_reference_on_each_field(value):
+    fields = ["2", "1", "-", "1/2", "0/1"]
+    for position in range(5):
+        line = " | ".join(fields[:position] + [value] + fields[position + 1:])
+        got, expected = read_both(f"3 | 2,1 | 3 | 1 | 0\n{line}")
+        assert got == expected, line
+        if not isinstance(got, str):
+            assert [type(c.re) for c in got._terms.values()] == [Fraction] * len(got)
+            assert [type(c.im) for c in got._terms.values()] == [Fraction] * len(got)
+
+
+def test_wire_reader_matches_the_reference_on_written_lines():
+    rng = Random(43)
+    for _ in range(500):
+        terms = []
+        for _ in range(rng.randint(0, 6)):
+            n = rng.randint(1, 12)
+            mono = monomial(n, [rng.randint(1, n) for _ in range(rng.randint(0, 3))], [rng.randint(1, n) for _ in range(rng.randint(0, 3))])
+            terms.append((mono, Scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 9)), Fraction(rng.randint(-2, 2), rng.randint(1, 3)))))
+        x = AlgebraElement(terms)
+        # what `serialize_element` writes, then the same terms as bare or unreduced fractions, padded
+        loose = "\n".join(f"  {exprs._mono_fields(m)} |  {c.re} | {c.im}  " for m, c in terms)
+        for text in (serialize_element(x), loose):
+            got, expected = read_both(text)
+            assert isinstance(got, AlgebraElement) and got == expected and list(got._terms) == list(expected._terms)
 
 
 @given(elements(max_n=6, max_len=2, max_terms=3))

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuntzsum import classify, monoids, mutations
+from cuntzsum import SuiteConfig, classify, monoids, mutations, suites
 from cuntzsum.algebra import generator, monomial, unit
 from cuntzsum.classify import check_biideal_on_generators, classify_component_set, lattice_iso_check
 from cuntzsum.cli import main
@@ -260,6 +260,27 @@ def test_coassoc_trial_divides_each_large_component_once(capsys, monkeypatch):
     # the triple count and the divisor pairs both ask about each p ...
     assert all(asked[p] >= 2 for p in primes), asked
     # ... and each distinct n asked about was trial-divided once
+    assert memo.cache_info().misses == len(asked)
+
+
+def test_the_factor_memo_holds_trial_divisions_only(capsys, monkeypatch):
+    # below 2^16 every n is walked from the table, so the factorization suite leaves the memo empty ...
+    memo = monoids._trial_factors
+    memo.cache_clear()
+    failures = []
+    assert suites._suite_factorization(SuiteConfig(), None, failures.append) == 10_002
+    assert failures == [] and memo.cache_info() == (0, 0, 64, 0)
+    # ... and `coassoc` still trial-divides its component once, whatever else it factors
+    asked = Counter()
+
+    def counting(n):
+        asked[n] += 1
+        return memo(n)
+
+    monkeypatch.setattr(monoids, "_trial_factors", counting)
+    assert main(["coassoc", "I(12612600)"]) == 0
+    assert capsys.readouterr().out == "true\n"
+    assert asked[12612600] >= 2 and min(asked) >= 1 << 16, asked
     assert memo.cache_info().misses == len(asked)
 
 

@@ -8,17 +8,21 @@ import subprocess
 import sys
 import threading
 import time
+import types
 from dataclasses import replace
+from fractions import Fraction
 from itertools import product as iproduct
 from pathlib import Path
+from random import Random
 
 import pytest
 
 from cuntzsum import SuiteConfig, run_property_suite
 from cuntzsum import mutations, suites
-from cuntzsum.algebra import AlgebraElement, generator, unit
+from cuntzsum.algebra import AlgebraElement, _accumulate, generator, monomial, unit
 from cuntzsum.errors import InputError
 from cuntzsum.monoids import MAX_BOUND
+from cuntzsum.scalars import ONE, Scalar
 from cuntzsum.suites import (
     MAX_SUITE_COMPONENT,
     MAX_SUITE_SAMPLES,
@@ -195,6 +199,61 @@ def test_unknown_mutation_rejected():
 _WORD_ALPHABET = [(1, False), (1, True), (2, False), (2, True)]
 
 
+def reference_random_scalar(rng):
+    """`random_scalar` as it was written first: `randint` draws, each value built by `Fraction` and `Scalar`."""
+    while True:
+        value = Scalar(
+            Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+            Fraction(rng.randint(-2, 2), rng.randint(1, 2)) if rng.random() < 0.3 else 0,
+        )
+        if not value.is_zero():
+            return value
+
+
+def reference_random_monomial(rng, max_n, max_len):
+    n = rng.randint(1, max_n)
+    total = rng.randint(0, max_len)
+    left = rng.randint(0, total)
+    mu = tuple(rng.randint(1, n) for _ in range(left))
+    nu = tuple(rng.randint(1, n) for _ in range(total - left))
+    return monomial(n, mu, nu)
+
+
+def reference_random_element(rng, max_n, max_len, max_terms=3):
+    count = rng.randint(1, max_terms)
+    terms = ((reference_random_monomial(rng, max_n, max_len), reference_random_scalar(rng)) for _ in range(count))
+    return AlgebraElement._raw(_accumulate({}, terms))
+
+
+def assert_same_scalar(got, expected):
+    assert got == expected and type(got) is Scalar
+    assert type(got.re) is Fraction and type(got.im) is Fraction
+
+
+@pytest.mark.parametrize("draw, reference, args", [
+    (suites.random_scalar, reference_random_scalar, ()),
+    (suites.random_monomial, reference_random_monomial, (1, 4)),
+    (suites.random_monomial, reference_random_monomial, (8, 2)),
+    (suites.random_monomial, reference_random_monomial, (12, 6)),
+    (suites.random_element, reference_random_element, (8, 2, 3)),
+    (suites.random_element, reference_random_element, (12, 2, 4)),
+], ids=lambda value: getattr(value, "__name__", None))
+def test_draws_match_the_randint_reference(draw, reference, args):
+    for seed in range(1000):
+        mine, theirs = Random(seed), Random(seed)
+        for _ in range(5):
+            got, expected = draw(mine, *args), reference(theirs, *args)
+            if draw is suites.random_scalar:
+                assert_same_scalar(got, expected)
+            elif draw is suites.random_monomial:
+                assert got == expected and type(got) is suites.CuntzMonomial
+            else:
+                assert got == expected and list(got._terms) == list(expected._terms)
+                for c in got._terms.values():
+                    assert_same_scalar(c, c)  # exact Fraction parts
+        assert mine.getstate() == theirs.getstate(), seed
+
+
 def letter_by_letter_product(n, pattern):
     """The reference product path: the word folded from unit(n), one fresh letter at a time."""
     folded = unit(n)
@@ -234,6 +293,33 @@ def test_rewriting_termination_makes_one_product_per_word(monkeypatch):
     checks = _suite_rewriting_termination(cfg, suites._rng(cfg, "rewriting-termination"), failures.append)
     assert (checks, failures) == (16683, [])
     assert calls == sum(4**length for length in range(1, 7)) == 5460
+
+
+def test_classifier_soundness_reads_leg_membership_from_its_window(monkeypatch):
+    asked = []
+    monkeypatch.setattr(suites.SubmonoidView, "contains", lambda view, n: asked.append(n) or True)
+    monkeypatch.setattr(suites, "check_biideal_on_generators", lambda prime_set, n: True)
+    failures = []
+    suites._suite_classifier_soundness(SuiteConfig(), None, failures.append)
+    assert failures == [] and asked == []
+
+
+@pytest.mark.parametrize("legs", [(25, 1), (1, 7)])
+def test_classifier_soundness_fails_on_a_leg_outside_its_window(monkeypatch, legs):
+    # 25 lies past every window (24 components), 7 outside every window but that of coprimes:2
+    leak = ((monomial(legs[0]), monomial(legs[1])), ONE)
+
+    def leaky_delta(x, original=suites.delta):
+        return types.SimpleNamespace(items=lambda: [*original(x).items(), leak])
+
+    monkeypatch.setattr(suites, "delta", leaky_delta)
+    failures = []
+    suites._suite_classifier_soundness(SuiteConfig(), None, failures.append)
+    escapes = {f.split(" at ")[0] for f in failures if f.startswith("coproduct leg escapes")}
+    if legs == (25, 1):
+        assert len(escapes) == 5, failures
+    else:
+        assert escapes == {f"coproduct leg escapes primes:{p}" for p in ("-", "2", "2,3", "3,5")}, failures
 
 
 def test_complement_duality_checks_each_window_before_building_the_next(monkeypatch):

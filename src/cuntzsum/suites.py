@@ -134,7 +134,7 @@ def _rng(cfg: SuiteConfig, name: str) -> Random:
     return Random(f"{cfg.seed}:{name}")
 
 
-# Fraction(a, b) for each pair of draws `random_scalar` makes, built at its first draw.
+# Fraction(a, b) for each of the 21 pairs of draws `random_scalar` makes, built at its first draw.
 _drawn_fraction = functools.cache(Fraction)
 
 
@@ -795,27 +795,29 @@ _KNOB_RANGES = (
 )
 
 
-# The suites that take the most time at the default config, heaviest
-# first, with their share of a one-process run (median of seeds 0-5); each
-# of the others takes under 3 %.  The runner hands these out first, so
-# that the last suite any process takes is a short one.
+# The suites that take the most time at the default config, with their
+# share of a one-process run (median of seeds 0-5); each of the others
+# takes under 3 %.  The runner hands these out first, in this order, so
+# that the last suite any process takes is a short one.  The order is no
+# longer heaviest first, but a reorder was measured to end within 3-5 %
+# of the ideal split, so it is kept.
 _HEAVIEST_SUITES = (
-    "parser-roundtrip",       # 32 %
-    "rewriting-termination",  # 15 %
-    "complement-duality",     # 9 %
+    "parser-roundtrip",       # 39 %
+    "rewriting-termination",  # 17 %
+    "complement-duality",     # 5 %
     "hom-property",           # 8 %
-    "factorization",          # 7 %
-    "coassociativity",        # 6 %
-    "classifier-soundness",   # 6 %
-    "counit-laws",            # 3 %
+    "factorization",          # 4 %
+    "coassociativity",        # 7 %
+    "classifier-soundness",   # 5 %
+    "counit-laws",            # 1 %
 )
 
 # Most processes `run_property_suite` splits the suites across, the caller
-# included.  `parser-roundtrip` alone is 32 % of a default run, so no split
-# ends before it does, and three processes already share the other 68 %
-# in about that time: a fourth cannot help.  Two processes take a default
-# run from 0.61-0.96 s to 0.40-0.49 s in process (seeds 0-5, 2-CPU Xeon),
-# and the bench's `suite-default` batch to about 0.35 s.
+# included.  `parser-roundtrip` alone is 39 % of a default run, so no split
+# ends before it does, and three processes already share the other 61 %
+# in less than that time: a fourth cannot help.  Two processes take a
+# default run from 0.39-0.45 s to 0.20-0.35 s in process (seeds 0-5,
+# 2-CPU Xeon), and the bench's `suite-default` batch to about 0.25 s.
 MAX_SUITE_PROCESSES = 3
 
 # Seconds a stopped worker gets to exit before it is killed.
